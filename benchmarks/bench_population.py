@@ -94,10 +94,9 @@ def run_scale_row(n_clients: int) -> dict:
     for round_index in range(SCALE_ROUNDS):
         cohort = sampler.select(round_index)
         started = time.perf_counter()
-        updates = train_cohort(
+        stacked = train_cohort(
             state, cohort, params, epochs=1, learning_rate=0.1
-        )
-        stacked = np.stack([u.parameters for u in updates])
+        ).parameters
         params = stacked.mean(axis=0)
         round_seconds.append(time.perf_counter() - started)
         if round_index == SCALE_ROUNDS - 1:
@@ -108,7 +107,7 @@ def run_scale_row(n_clients: int) -> dict:
             started = time.perf_counter()
             stacked.mean(axis=0)
             flat_combine_s = time.perf_counter() - started
-            fan_in = tree.fan_in(len(updates))
+            fan_in = tree.fan_in(len(stacked))
             partials = np.stack(
                 [chunk.mean(axis=0) for chunk in np.array_split(stacked, fan_in)]
             )

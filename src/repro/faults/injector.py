@@ -67,6 +67,12 @@ class FaultInjector:
             )
         self.plan = plan
         self.n_clients = n_clients
+        # Sorted ids of every client some fault names: any other client
+        # is always available, never slowed, never corrupted and has no
+        # battery, so per-round hooks need only visit these.
+        self.targets = np.unique(
+            np.array([fault.client_id for fault in plan], dtype=np.int64)
+        )
         self._observer = active_or_none(observer)
         self._crashes: dict[int, list[CrashFault]] = {}
         self._stragglers: dict[int, list[StragglerFault]] = {}

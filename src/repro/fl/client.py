@@ -16,7 +16,7 @@ from repro.data.dataset import Dataset
 from repro.fl.model import LogisticRegressionConfig, LogisticRegressionModel
 from repro.fl.sgd import SGDConfig
 
-__all__ = ["LocalUpdate", "EdgeServerClient"]
+__all__ = ["CohortUpdate", "LocalUpdate", "EdgeServerClient"]
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,85 @@ class LocalUpdate:
     epochs: int
     gradient_steps: int
     final_local_loss: float
+
+
+@dataclass(frozen=True, eq=False)
+class CohortUpdate:
+    """One round's trained cohort as arrays; row ``i`` is participant ``i``.
+
+    This is what every execution engine returns: the stacked engines
+    fill it straight from the training kernel, and the per-client
+    engines (sequential, pool) stack their :class:`LocalUpdate` objects
+    into it with :meth:`from_updates`.
+
+    Attributes:
+        client_ids: ``(K,)`` participant ids, in participant order.
+        parameters: ``(K, P)`` C-contiguous float64 updated parameters.
+        n_samples: ``(K,)`` local dataset sizes ``n_k``.
+        gradient_steps: ``(K,)`` SGD steps each client took.
+        final_losses: ``(K,)`` final local losses (see
+            :attr:`LocalUpdate.final_local_loss`).
+        epochs: local epochs ``E`` every client ran.
+        durations_s: ``(K,)`` measured per-client training times, or
+            ``None`` when the cohort trained as one stack and no
+            per-client time exists.
+        elapsed_s: wall time of training the whole cohort.
+    """
+
+    client_ids: np.ndarray
+    parameters: np.ndarray
+    n_samples: np.ndarray
+    gradient_steps: np.ndarray
+    final_losses: np.ndarray
+    epochs: int
+    durations_s: np.ndarray | None = None
+    elapsed_s: float = 0.0
+
+    def __len__(self) -> int:
+        return int(self.client_ids.shape[0])
+
+    @classmethod
+    def from_updates(
+        cls,
+        updates: list[LocalUpdate],
+        n_parameters: int,
+        epochs: int,
+        durations_s: list[float] | None = None,
+        elapsed_s: float = 0.0,
+    ) -> "CohortUpdate":
+        """Stack per-client updates (in participant order) into a cohort."""
+        parameters = (
+            np.stack([u.parameters for u in updates])
+            if updates
+            else np.empty((0, n_parameters))
+        )
+        return cls(
+            client_ids=np.array([u.client_id for u in updates], dtype=np.int64),
+            parameters=parameters,
+            n_samples=np.array([u.n_samples for u in updates], dtype=np.int64),
+            gradient_steps=np.array(
+                [u.gradient_steps for u in updates], dtype=np.int64
+            ),
+            final_losses=np.array(
+                [u.final_local_loss for u in updates], dtype=np.float64
+            ),
+            epochs=epochs,
+            durations_s=(
+                None if durations_s is None else np.asarray(durations_s, dtype=float)
+            ),
+            elapsed_s=elapsed_s,
+        )
+
+    def __getitem__(self, index: int) -> LocalUpdate:
+        """Participant ``index`` as a :class:`LocalUpdate` (interop only)."""
+        return LocalUpdate(
+            client_id=int(self.client_ids[index]),
+            parameters=self.parameters[index],
+            n_samples=int(self.n_samples[index]),
+            epochs=self.epochs,
+            gradient_steps=int(self.gradient_steps[index]),
+            final_local_loss=float(self.final_losses[index]),
+        )
 
 
 class EdgeServerClient:

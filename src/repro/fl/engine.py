@@ -32,8 +32,13 @@ semantics:
   so results are bit-identical regardless of worker count (and chunk
   count) and identical to sequential execution.
 
-All engines return updates in participant order, which the trainer
-relies on for dropout draws, compression, and upload simulation.
+Every engine returns one :class:`~repro.fl.client.CohortUpdate`: a
+``(K, P)`` parameter matrix plus per-client vectors, with row ``i``
+belonging to participant ``i`` — the order the trainer relies on for
+dropout draws, compression, and upload simulation.  The sequential and
+pool engines build per-client :class:`~repro.fl.client.LocalUpdate`
+objects and stack them; the stacked engines fill the matrix straight
+from the kernel.
 """
 
 from __future__ import annotations
@@ -43,19 +48,18 @@ import multiprocessing
 import os
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.faults.models import substream
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import CohortUpdate, EdgeServerClient
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.population import (
     PopulationState,
-    fullbatch_gd_stack,
     train_cohort,
+    train_stacked_cohort,
 )
 from repro.obs.sink import TelemetrySpool, get_spool_context
 from repro.perf.cache import StackCache
@@ -73,13 +77,13 @@ if TYPE_CHECKING:
 __all__ = [
     "AUTO_BACKEND",
     "BACKENDS",
-    "ClientTrainResult",
     "ExecutionEngine",
     "SequentialEngine",
     "BatchedEngine",
     "PoolEngine",
     "PopulationEngine",
     "create_engine",
+    "is_vectorizable",
     "load_break_even_table",
     "resolve_backend",
     "select_backend",
@@ -97,14 +101,6 @@ AUTO_BACKEND = "auto"
 POPULATION_MIN_CLIENTS = 256
 
 
-@dataclass(frozen=True)
-class ClientTrainResult:
-    """One client's training outcome plus its measured duration."""
-
-    update: LocalUpdate
-    duration_s: float
-
-
 class ExecutionEngine:
     """Interface every backend implements."""
 
@@ -116,12 +112,23 @@ class ExecutionEngine:
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
-        """Train every participant from ``global_parameters``, in order."""
+    ) -> CohortUpdate:
+        """Train every participant from ``global_parameters``.
+
+        Row ``i`` of the returned cohort belongs to ``participants[i]``.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
         """Release engine resources (pools, shared memory).  Idempotent."""
+
+
+def is_vectorizable(model_config, config: "FederatedConfig") -> bool:
+    """Whether the stacked kernel covers this model and SGD schedule."""
+    return (
+        isinstance(model_config, LogisticRegressionConfig)
+        and config.sgd.batch_size is None
+    )
 
 
 def _batch_rng(
@@ -159,23 +166,31 @@ class SequentialEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
+    ) -> CohortUpdate:
         config = self._config
-        results: list[ClientTrainResult] = []
+        round_started = time.perf_counter()
+        updates = []
+        durations = []
         for client_id in participants:
             started = time.perf_counter()
-            update = self._clients[client_id].train(
-                global_parameters,
-                epochs=config.local_epochs,
-                learning_rate=learning_rate,
-                sgd=config.sgd,
-                proximal_mu=config.proximal_mu,
-                rng=_batch_rng(config, client_id, round_index),
+            updates.append(
+                self._clients[client_id].train(
+                    global_parameters,
+                    epochs=config.local_epochs,
+                    learning_rate=learning_rate,
+                    sgd=config.sgd,
+                    proximal_mu=config.proximal_mu,
+                    rng=_batch_rng(config, client_id, round_index),
+                )
             )
-            results.append(
-                ClientTrainResult(update, time.perf_counter() - started)
-            )
-        return results
+            durations.append(time.perf_counter() - started)
+        return CohortUpdate.from_updates(
+            updates,
+            len(global_parameters),
+            config.local_epochs,
+            durations_s=durations,
+            elapsed_s=time.perf_counter() - round_started,
+        )
 
 
 class BatchedEngine(ExecutionEngine):
@@ -199,18 +214,15 @@ class BatchedEngine(ExecutionEngine):
         self._clients = clients
         self._config = config
         self._observer = observer
-        model_config = clients[0].model_config
-        self._supported = (
-            isinstance(model_config, LogisticRegressionConfig)
-            and config.sgd.batch_size is None
-        )
-        self._model_config = model_config
+        self._model_config = clients[0].model_config
+        self._supported = is_vectorizable(self._model_config, config)
         self._fallback = SequentialEngine(clients, config, observer)
         self._stack_cache = StackCache(capacity=32)
 
     def _stacked(
-        self, group: tuple[int, ...]
+        self, n: int, members: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        group = tuple(int(c) for c in members)
         cached = self._stack_cache.lookup(group)
         if cached is not None:
             if self._observer is not None:
@@ -223,153 +235,84 @@ class BatchedEngine(ExecutionEngine):
         self._stack_cache.store(group, (features, labels))
         return features, labels
 
-    def _train_group(
-        self,
-        group: tuple[int, ...],
-        global_parameters: np.ndarray,
-        learning_rate: float,
-    ) -> list[LocalUpdate]:
-        config = self._config
-        model_config = self._model_config
-        d, n_classes = model_config.n_features, model_config.n_classes
-        mu = config.proximal_mu
-        l2 = model_config.l2
-        epochs = config.local_epochs
-        features, labels = self._stacked(group)
-        n = labels.shape[1]
-
-        # The arithmetic lives in the shared population kernel so the
-        # batched, population, and stacked-grid paths stay one code path.
-        weights, bias, losses = fullbatch_gd_stack(
-            features,
-            labels,
-            global_parameters[: d * n_classes].reshape(d, n_classes),
-            global_parameters[d * n_classes :],
-            epochs=epochs,
-            learning_rate=learning_rate,
-            activation=model_config.activation,
-            l2=l2,
-            proximal_mu=mu,
-        )
-
-        return [
-            LocalUpdate(
-                client_id=client_id,
-                parameters=np.concatenate(
-                    [weights[g].ravel(), bias[g]]
-                ),
-                n_samples=n,
-                epochs=epochs,
-                gradient_steps=epochs,
-                final_local_loss=float(losses[g]),
-            )
-            for g, client_id in enumerate(group)
-        ]
-
     def train_round(
         self,
         participants: Sequence[int],
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
+    ) -> CohortUpdate:
         if not self._supported:
             return self._fallback.train_round(
                 participants, global_parameters, round_index, learning_rate
             )
-        started = time.perf_counter()
-        groups: dict[int, list[int]] = {}
-        for client_id in participants:
-            groups.setdefault(self._clients[client_id].n_samples, []).append(
-                client_id
-            )
-        updates: dict[int, LocalUpdate] = {}
-        for group in groups.values():
-            # Canonical (sorted) order: each lane is independent, so the
-            # stack order is free — sorting makes the cohort's feature
-            # stack cacheable across rounds that reshuffle the same set.
-            for update in self._train_group(
-                tuple(sorted(group)), global_parameters, learning_rate
-            ):
-                updates[update.client_id] = update
-        elapsed = time.perf_counter() - started
+        config = self._config
+        # Canonical (sorted) lane order per size group makes the
+        # cohort's feature stack cacheable across rounds that reshuffle
+        # the same set; the kernel is shared with the population path.
+        cohort = train_stacked_cohort(
+            participants,
+            np.array(
+                [self._clients[c].n_samples for c in participants],
+                dtype=np.int64,
+            ),
+            self._stacked,
+            global_parameters,
+            self._model_config,
+            epochs=config.local_epochs,
+            learning_rate=learning_rate,
+            proximal_mu=config.proximal_mu,
+        )
         if self._observer is not None:
             self._observer.counter("engine.batched_rounds").inc()
-        per_client = elapsed / max(1, len(participants))
-        return [
-            ClientTrainResult(updates[client_id], per_client)
-            for client_id in participants
-        ]
+        return cohort
 
 
 class PopulationEngine(ExecutionEngine):
     """Struct-of-arrays backend over a :class:`PopulationState`.
 
     Where the batched engine stacks each round's cohort on demand from
-    per-object clients, this backend adopts the *whole population* into
-    group stacks once at construction and trains every cohort by fancy-
-    indexed gather + one :func:`fullbatch_gd_stack` call per group — no
-    per-client Python objects on the hot path, so N scales to millions.
-    Same restrictions as the batched engine (logistic regression,
-    full batch); anything else falls back to sequential per-client
-    training.  With the float64 default the results are bit-identical
-    to the batched engine and ``atol=1e-10`` against sequential; the
-    opt-in float32 population trades that for half the memory.
+    per-object clients, this backend holds the *whole population* in
+    group stacks and trains every cohort by fancy-indexed gather + one
+    :func:`fullbatch_gd_stack` call per group — no per-client Python
+    objects on the hot path, so N scales to millions.
+
+    ``population`` is either a :class:`PopulationState` (no client
+    objects at all) or a client list, adopted into group stacks once at
+    construction.  Same restrictions as the batched engine (logistic
+    regression, full batch): a client list with anything else falls
+    back to sequential per-client training, while a bare state cannot
+    fall back and is rejected.  With the float64 default the results
+    are bit-identical to the batched engine and ``atol=1e-10`` against
+    sequential; the opt-in float32 population trades that for half the
+    memory.
     """
 
     name = "population"
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        population: "list[EdgeServerClient] | PopulationState",
         config: "FederatedConfig",
         observer: "Observer | None" = None,
-        *,
-        state: PopulationState | None = None,
     ) -> None:
         self._config = config
         self._observer = observer
-        if state is not None:
-            self._state = state
-            self._supported = config.sgd.batch_size is None and isinstance(
-                state.model_config, LogisticRegressionConfig
+        self._fallback: SequentialEngine | None = None
+        self._state: PopulationState | None = None
+        if isinstance(population, PopulationState):
+            if not is_vectorizable(population.model_config, config):
+                raise ValueError(
+                    "a PopulationState cannot fall back to per-client "
+                    "training; this model/SGD config needs client objects"
+                )
+            self._state = population
+        elif is_vectorizable(population[0].model_config, config):
+            self._state = PopulationState.from_clients(
+                population, dtype=config.population_dtype
             )
-            self._fallback = (
-                SequentialEngine(clients, config, observer)
-                if clients
-                else None
-            )
-            return
-        model_config = clients[0].model_config
-        self._supported = (
-            isinstance(model_config, LogisticRegressionConfig)
-            and config.sgd.batch_size is None
-        )
-        self._fallback = SequentialEngine(clients, config, observer)
-        self._state = (
-            PopulationState.from_clients(
-                clients,
-                dtype=getattr(config, "population_dtype", "float64"),
-            )
-            if self._supported
-            else None
-        )
-
-    @classmethod
-    def from_state(
-        cls,
-        state: PopulationState,
-        config: "FederatedConfig",
-        observer: "Observer | None" = None,
-    ) -> "PopulationEngine":
-        """Build directly on population stacks, no client objects at all.
-
-        The benchmark/synthetic path: at N=10^6 even *constructing* a
-        client-object list is prohibitive, so the engine must be
-        reachable from :meth:`PopulationState.synthesize` alone.  The
-        unsupported-config fallback is unavailable in this mode.
-        """
-        return cls([], config, observer, state=state)
+        else:
+            self._fallback = SequentialEngine(population, config, observer)
 
     @property
     def state(self) -> PopulationState | None:
@@ -381,21 +324,13 @@ class PopulationEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
-        if not self._supported or self._state is None:
-            if self._fallback is None:
-                raise RuntimeError(
-                    "population engine built from_state cannot fall back "
-                    "to per-client training"
-                )
+    ) -> CohortUpdate:
+        if self._fallback is not None:
             return self._fallback.train_round(
                 participants, global_parameters, round_index, learning_rate
             )
-        if not participants:
-            return []
-        started = time.perf_counter()
         config = self._config
-        updates = train_cohort(
+        cohort = train_cohort(
             self._state,
             participants,
             global_parameters,
@@ -403,14 +338,12 @@ class PopulationEngine(ExecutionEngine):
             learning_rate=learning_rate,
             proximal_mu=config.proximal_mu,
         )
-        elapsed = time.perf_counter() - started
-        if self._observer is not None:
+        if self._observer is not None and len(participants):
             self._observer.counter("engine.population_rounds").inc()
             self._observer.counter("engine.population_clients").inc(
                 len(participants)
             )
-        per_client = elapsed / max(1, len(participants))
-        return [ClientTrainResult(update, per_client) for update in updates]
+        return cohort
 
 
 # ----------------------------------------------------------------------
@@ -685,10 +618,13 @@ class PoolEngine(ExecutionEngine):
         global_parameters: np.ndarray,
         round_index: int,
         learning_rate: float,
-    ) -> list[ClientTrainResult]:
-        if not participants:
-            return []
+    ) -> CohortUpdate:
         broadcast = np.ascontiguousarray(global_parameters, dtype=np.float64)
+        if len(participants) == 0:
+            return CohortUpdate.from_updates(
+                [], broadcast.size, self._config.local_epochs
+            )
+        started = time.perf_counter()
         self._ensure_pool(broadcast.size)
         # Publish the round's model once; Pool.map is a full barrier, so
         # no worker can still be reading when the next round rewrites it.
@@ -703,11 +639,14 @@ class PoolEngine(ExecutionEngine):
             self._observer.counter("engine.pool_tasks").inc(
                 len(participants)
             )
-        return [
-            ClientTrainResult(update, duration)
-            for chunk in chunk_results
-            for update, duration in chunk
-        ]
+        trained = [pair for chunk in chunk_results for pair in chunk]
+        return CohortUpdate.from_updates(
+            [update for update, _ in trained],
+            broadcast.size,
+            self._config.local_epochs,
+            durations_s=[duration for _, duration in trained],
+            elapsed_s=time.perf_counter() - started,
+        )
 
     def close(self) -> None:
         if self._finalizer is not None:
@@ -826,8 +765,9 @@ def select_backend(
 
 def resolve_backend(
     backend: str,
-    clients: list[EdgeServerClient],
     config: "FederatedConfig",
+    n_clients: int,
+    model_config,
     *,
     available_cpus: int | None = None,
     table: dict | None = None,
@@ -835,19 +775,14 @@ def resolve_backend(
     """Resolve ``"auto"`` to a concrete backend; pass others through."""
     if backend != AUTO_BACKEND:
         return backend
-    model_config = clients[0].model_config if clients else None
-    vectorizable = (
-        isinstance(model_config, LogisticRegressionConfig)
-        and config.sgd.batch_size is None
-    )
     if table is None:
         table = load_break_even_table()
     return select_backend(
-        n_clients=len(clients),
+        n_clients=n_clients,
         participants=config.participants_per_round,
         epochs=config.local_epochs,
         n_features=getattr(model_config, "n_features", 0),
-        vectorizable=vectorizable,
+        vectorizable=is_vectorizable(model_config, config),
         available_cpus=available_cpus,
         table=table,
     )
@@ -855,25 +790,36 @@ def resolve_backend(
 
 def create_engine(
     backend: str,
-    clients: list[EdgeServerClient],
+    population: "list[EdgeServerClient] | PopulationState",
     config: "FederatedConfig",
     observer: "Observer | None" = None,
 ) -> ExecutionEngine:
     """Instantiate the execution backend named by ``backend``.
 
-    ``"auto"`` is resolved against the current host and workload first
-    (see :func:`resolve_backend`).
+    ``population`` is the client list, or a :class:`PopulationState`
+    for the object-less population path (which only the
+    ``"population"`` backend can train).  ``"auto"`` is resolved
+    against the current host and workload first (see
+    :func:`resolve_backend`).
     """
-    if backend == AUTO_BACKEND:
-        backend = resolve_backend(backend, clients, config)
-    if backend == "sequential":
-        return SequentialEngine(clients, config, observer)
-    if backend == "batched":
-        return BatchedEngine(clients, config, observer)
-    if backend == "pool":
-        return PoolEngine(clients, config, observer)
+    if isinstance(population, PopulationState):
+        n_clients, model_config = population.n_clients, population.model_config
+    else:
+        n_clients, model_config = len(population), population[0].model_config
+    backend = resolve_backend(backend, config, n_clients, model_config)
     if backend == "population":
-        return PopulationEngine(clients, config, observer)
+        return PopulationEngine(population, config, observer)
+    if isinstance(population, PopulationState):
+        raise ValueError(
+            f"a PopulationState trains only on the 'population' backend; "
+            f"got {backend!r}"
+        )
+    if backend == "sequential":
+        return SequentialEngine(population, config, observer)
+    if backend == "batched":
+        return BatchedEngine(population, config, observer)
+    if backend == "pool":
+        return PoolEngine(population, config, observer)
     raise ValueError(
         f"backend must be one of {BACKENDS}; got {backend!r}"
     )

@@ -45,12 +45,13 @@ engine layer can build on it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import CohortUpdate, EdgeServerClient, LocalUpdate
 from repro.fl.model import LogisticRegressionConfig, _sigmoid
 
 if TYPE_CHECKING:
@@ -65,6 +66,7 @@ __all__ = [
     "PopulationState",
     "fullbatch_gd_stack",
     "train_cohort",
+    "train_stacked_cohort",
     "train_unit_grid",
 ]
 
@@ -354,47 +356,48 @@ class PopulationState:
         return np.flatnonzero(self.battery_j > 0.0)
 
 
-def train_cohort(
-    state: PopulationState,
+def train_stacked_cohort(
     client_ids: Sequence[int] | np.ndarray,
+    sizes: np.ndarray,
+    stacks: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]],
     global_parameters: np.ndarray,
+    model_config: LogisticRegressionConfig,
     *,
     epochs: int,
     learning_rate: float,
     proximal_mu: float = 0.0,
-) -> list[LocalUpdate]:
-    """Train one round's cohort from the population stacks.
+    dtype: np.dtype | str = np.float64,
+) -> CohortUpdate:
+    """Train a cohort group-by-group into one ``(K, P)`` update matrix.
 
-    Cohort members are grouped by ``n_k`` and each group trains as one
-    :func:`fullbatch_gd_stack` call in canonical (sorted-id) lane
-    order — the same grouping the batched engine uses, so float64
-    results are bit-identical to it.  On a float32 population the
-    arithmetic runs in float32 and the returned parameter vectors are
-    cast back to float64, keeping aggregation dtype-stable.
-
-    Updates are returned in ``client_ids`` order (the trainer's
-    participant-order contract).  ``state.last_loss`` is refreshed for
-    every trained client.
+    ``sizes[i]`` is participant ``i``'s ``n_k``; ``stacks(n, members)``
+    returns the ``(G, n, d)`` features and ``(G, n)`` labels of the
+    sorted ``members`` sharing that size.  Each group trains as one
+    :func:`fullbatch_gd_stack` call in canonical (sorted-id) lane order,
+    and its lanes are written to their participants' rows, so row ``i``
+    of the result belongs to ``client_ids[i]``.  A float32 population
+    computes in float32; its rows are widened to float64 on the write,
+    keeping aggregation dtype-stable.  No per-client objects are built.
     """
+    started = time.perf_counter()
     ids = np.asarray(client_ids, dtype=np.int64)
-    model_config = state.model_config
     d, n_classes = model_config.n_features, model_config.n_classes
     split = d * n_classes
     anchor = np.ascontiguousarray(global_parameters, dtype=np.float64)
-    if state.dtype != np.float64:
-        anchor = anchor.astype(state.dtype)
+    if np.dtype(dtype) != np.float64:
+        anchor = anchor.astype(dtype)
     weights_global = anchor[:split].reshape(d, n_classes)
     bias_global = anchor[split:]
 
-    updates: dict[int, LocalUpdate] = {}
-    sizes = state.n_samples[ids]
+    parameters = np.empty((len(ids), model_config.n_parameters))
+    losses = np.empty(len(ids))
     for n in np.unique(sizes):
-        members = np.sort(ids[sizes == n])
-        group = state.groups[int(n)]
-        rows = state.rows_of(members)
-        weights, bias, losses = fullbatch_gd_stack(
-            group.features[rows],
-            group.labels[rows],
+        positions = np.flatnonzero(sizes == n)
+        positions = positions[np.argsort(ids[positions], kind="stable")]
+        features, labels = stacks(int(n), ids[positions])
+        weights, bias, group_losses = fullbatch_gd_stack(
+            features,
+            labels,
             weights_global,
             bias_global,
             epochs=epochs,
@@ -403,23 +406,58 @@ def train_cohort(
             l2=model_config.l2,
             proximal_mu=proximal_mu,
         )
-        flat = np.concatenate(
-            [weights.reshape(len(members), -1), bias], axis=1
-        )
-        if flat.dtype != np.float64:
-            flat = flat.astype(np.float64)
-        losses64 = np.asarray(losses, dtype=np.float64)
-        state.last_loss[members] = losses64
-        for g, client_id in enumerate(members):
-            updates[int(client_id)] = LocalUpdate(
-                client_id=int(client_id),
-                parameters=flat[g],
-                n_samples=int(n),
-                epochs=epochs,
-                gradient_steps=epochs,
-                final_local_loss=float(losses64[g]),
-            )
-    return [updates[int(client_id)] for client_id in ids]
+        parameters[positions, :split] = weights.reshape(len(positions), -1)
+        parameters[positions, split:] = bias
+        losses[positions] = group_losses
+    return CohortUpdate(
+        client_ids=ids,
+        parameters=parameters,
+        n_samples=np.asarray(sizes, dtype=np.int64),
+        gradient_steps=np.full(len(ids), epochs, dtype=np.int64),
+        final_losses=losses,
+        epochs=epochs,
+        elapsed_s=time.perf_counter() - started,
+    )
+
+
+def train_cohort(
+    state: PopulationState,
+    client_ids: Sequence[int] | np.ndarray,
+    global_parameters: np.ndarray,
+    *,
+    epochs: int,
+    learning_rate: float,
+    proximal_mu: float = 0.0,
+) -> CohortUpdate:
+    """Train one round's cohort from the population stacks.
+
+    Cohort members are gathered from their size group by fancy
+    indexing and trained by :func:`train_stacked_cohort` — the same
+    grouping and kernel the batched engine uses, so float64 results are
+    bit-identical to it.  Rows follow ``client_ids`` order (the
+    trainer's participant-order contract).  ``state.last_loss`` is
+    refreshed for every trained client.
+    """
+    ids = np.asarray(client_ids, dtype=np.int64)
+
+    def stacks(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        group = state.groups[n]
+        rows = state.rows_of(members)
+        return group.features[rows], group.labels[rows]
+
+    cohort = train_stacked_cohort(
+        ids,
+        state.n_samples[ids],
+        stacks,
+        global_parameters,
+        state.model_config,
+        epochs=epochs,
+        learning_rate=learning_rate,
+        proximal_mu=proximal_mu,
+        dtype=state.dtype,
+    )
+    state.last_loss[ids] = cohort.final_losses
+    return cohort
 
 
 @dataclass(frozen=True)

@@ -47,24 +47,29 @@ class NonFiniteUpdateError(ValueError):
         self.client_ids = tuple(client_ids)
 
 
-def aggregate_mean(updates: list[LocalUpdate]) -> np.ndarray:
-    """Unweighted average of local parameter vectors — eq. (2) of the paper."""
+def _stack(updates: list[LocalUpdate]) -> np.ndarray:
     if not updates:
         raise ValueError("cannot aggregate an empty list of updates")
-    stacked = np.stack([u.parameters for u in updates])
-    return stacked.mean(axis=0)
+    return np.stack([u.parameters for u in updates])
+
+
+def _weighted_mean(stacked: np.ndarray, n_samples: np.ndarray) -> np.ndarray:
+    weights = np.asarray(n_samples, dtype=float)
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("total sample count across updates must be positive")
+    return (weights[:, None] * stacked).sum(axis=0) / total
+
+
+def aggregate_mean(updates: list[LocalUpdate]) -> np.ndarray:
+    """Unweighted average of local parameter vectors — eq. (2) of the paper."""
+    return _stack(updates).mean(axis=0)
 
 
 def aggregate_weighted(updates: list[LocalUpdate]) -> np.ndarray:
     """Sample-count-weighted average (classic FedAvg aggregation)."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty list of updates")
-    weights = np.array([u.n_samples for u in updates], dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("total sample count across updates must be positive")
-    stacked = np.stack([u.parameters for u in updates])
-    return (weights[:, None] * stacked).sum(axis=0) / total
+    stacked = _stack(updates)
+    return _weighted_mean(stacked, [u.n_samples for u in updates])
 
 
 class Coordinator:
@@ -158,8 +163,19 @@ class Coordinator:
             )
         return self.global_parameters
 
-    def aggregate(self, updates: list[LocalUpdate]) -> np.ndarray:
+    def aggregate(
+        self,
+        updates: np.ndarray | list[LocalUpdate],
+        *,
+        n_samples: np.ndarray | None = None,
+        client_ids: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Apply the aggregation rule and advance to round ``t + 1``.
+
+        ``updates`` is a ``(K, P)`` update matrix — row ``i`` from
+        client ``client_ids[i]`` (default ``i``) holding ``n_samples[i]``
+        samples, which the ``"weighted"`` rule requires — or a list of
+        :class:`LocalUpdate` objects, which carry both.
 
         Returns the new global parameter vector ``omega_{t+1}``.
 
@@ -169,11 +185,17 @@ class Coordinator:
                 global model.
         """
         started = time.perf_counter()
-        poisoned = [
-            int(u.client_id)
-            for u in updates
-            if not np.all(np.isfinite(u.parameters))
-        ]
+        if isinstance(updates, np.ndarray):
+            stacked = updates
+            if len(stacked) == 0:
+                raise ValueError("cannot aggregate an empty list of updates")
+        else:
+            stacked = _stack(updates)
+            n_samples = np.array([u.n_samples for u in updates])
+            client_ids = np.array([u.client_id for u in updates])
+        if client_ids is None:
+            client_ids = np.arange(len(stacked))
+        poisoned = client_ids[~np.isfinite(stacked).all(axis=1)].tolist()
         if poisoned:
             if self._observer is not None:
                 self._observer.counter("fl.nonfinite_rejected").inc(
@@ -186,11 +208,13 @@ class Coordinator:
                 )
             raise NonFiniteUpdateError(poisoned)
         if self.aggregation_tree is not None:
-            self._parameters = self.aggregation_tree.fold_updates(updates)
+            self._parameters = self.aggregation_tree.fold(stacked)
         elif self.aggregation == "mean":
-            self._parameters = aggregate_mean(updates)
+            self._parameters = stacked.mean(axis=0)
         else:
-            self._parameters = aggregate_weighted(updates)
+            if n_samples is None:
+                raise ValueError("the 'weighted' rule needs n_samples")
+            self._parameters = _weighted_mean(stacked, n_samples)
         self.rounds_completed += 1
         self.parameters_version += 1
         if self._observer is not None:
@@ -198,7 +222,7 @@ class Coordinator:
             if self.aggregation_tree is not None:
                 self._observer.counter("fl.tree_aggregations").inc()
                 self._observer.counter("fl.tree_fan_in").inc(
-                    self.aggregation_tree.fan_in(len(updates))
+                    self.aggregation_tree.fan_in(len(stacked))
                 )
             self._observer.profiler.observe(
                 "profile.aggregate_s", time.perf_counter() - started
@@ -206,7 +230,7 @@ class Coordinator:
             self._observer.emit(
                 "server.aggregate",
                 round=self.rounds_completed - 1,
-                n_updates=len(updates),
+                n_updates=len(stacked),
                 aggregation=self.aggregation,
             )
         return self.global_parameters

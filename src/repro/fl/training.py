@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -44,11 +44,12 @@ from repro.faults.policies import (
     RoundResilienceReport,
     simulate_upload,
 )
-from repro.fl.client import EdgeServerClient, LocalUpdate
+from repro.fl.client import EdgeServerClient
 from repro.fl.compression import ErrorFeedback
 from repro.fl.engine import AUTO_BACKEND, BACKENDS, create_engine, resolve_backend
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.model import LogisticRegressionConfig
+from repro.fl.population import PopulationState
 from repro.fl.sampling import ClientSampler, UniformSampler
 from repro.fl.server import Coordinator
 from repro.fl.sgd import LearningRateSchedule, SGDConfig
@@ -180,11 +181,16 @@ def build_clients(
 
 
 class FederatedTrainer:
-    """Runs FedAvg rounds and records a :class:`TrainingHistory`."""
+    """Runs FedAvg rounds and records a :class:`TrainingHistory`.
+
+    ``clients`` is the per-object client list, or a
+    :class:`~repro.fl.population.PopulationState` for the object-less
+    population path (its backend must resolve to ``"population"``).
+    """
 
     def __init__(
         self,
-        clients: list[EdgeServerClient],
+        clients: list[EdgeServerClient] | PopulationState,
         config: FederatedConfig,
         train_eval: Dataset,
         test_eval: Dataset,
@@ -198,19 +204,22 @@ class FederatedTrainer:
         upload_channel: WirelessChannel | None = None,
         client_time_fn: Callable[[int, int], float] | None = None,
     ) -> None:
-        if not clients:
+        if isinstance(clients, PopulationState):
+            n_clients, model_config = clients.n_clients, clients.model_config
+        elif not clients:
             raise ValueError("need at least one client")
+        else:
+            n_clients, model_config = len(clients), clients[0].model_config
+            if any(client.model_config != model_config for client in clients):
+                raise ValueError("all clients must share the same model config")
         selected_per_round = config.participants_per_round + config.overselection
-        if selected_per_round > len(clients):
+        if selected_per_round > n_clients:
             raise ValueError(
                 f"K + overselection = {selected_per_round} exceeds the "
-                f"number of edge servers N = {len(clients)}"
+                f"number of edge servers N = {n_clients}"
             )
-        model_config = clients[0].model_config
-        for client in clients:
-            if client.model_config != model_config:
-                raise ValueError("all clients must share the same model config")
         self.clients = clients
+        self._n_clients = n_clients
         self.config = config
         self.train_eval = train_eval
         self.test_eval = test_eval
@@ -222,17 +231,17 @@ class FederatedTrainer:
         self._dropout_rng = substream(config.seed, "dropout")
         self._resilience_rng = substream(config.seed, "resilience")
         self.sampler = sampler or UniformSampler(
-            len(clients), selected_per_round, self._rng
+            n_clients, selected_per_round, self._rng
         )
         if self.sampler.k != selected_per_round:
             raise ValueError(
                 f"sampler selects {self.sampler.k} clients but the config "
                 f"needs K + overselection = {selected_per_round}"
             )
-        if fault_injector is not None and fault_injector.n_clients != len(clients):
+        if fault_injector is not None and fault_injector.n_clients != n_clients:
             raise ValueError(
                 f"fault injector covers {fault_injector.n_clients} clients "
-                f"but the trainer has {len(clients)}"
+                f"but the trainer has {n_clients}"
             )
         self._observer = active_or_none(observer)
         self.coordinator = coordinator or Coordinator(
@@ -249,7 +258,9 @@ class FederatedTrainer:
         self._schedule = LearningRateSchedule(config.sgd)
         # "auto" resolves once per trainer so the whole run uses one
         # engine, and the resolved choice is observable for tests/logs.
-        self.resolved_backend = resolve_backend(config.backend, clients, config)
+        self.resolved_backend = resolve_backend(
+            config.backend, config, n_clients, model_config
+        )
         self._engine = create_engine(
             self.resolved_backend, clients, config, self._observer
         )
@@ -266,30 +277,7 @@ class FederatedTrainer:
     @property
     def n_clients(self) -> int:
         """Number of edge servers ``N`` in the system."""
-        return len(self.clients)
-
-    def _apply_compression(
-        self,
-        client_id: int,
-        update: LocalUpdate,
-        global_params: np.ndarray,
-    ) -> LocalUpdate:
-        """Compress the uploaded *delta* and account for the wire bytes.
-
-        The server reconstructs ``global + decompressed_delta``; without a
-        compressor the full-precision parameters are counted at dense
-        float32 size.
-        """
-        if self.update_compressor is None:
-            self.total_upload_bytes += update.parameters.size * 4
-            return update
-        delta = update.parameters - global_params
-        if isinstance(self.update_compressor, ErrorFeedback):
-            compressed = self.update_compressor.compress(client_id, delta)
-        else:
-            compressed = self.update_compressor.compress(delta)
-        self.total_upload_bytes += compressed.payload_bytes
-        return replace(update, parameters=global_params + compressed.dense)
+        return self._n_clients
 
     def _select_participants(
         self, selected: list[int], round_index: int
@@ -305,17 +293,19 @@ class FederatedTrainer:
         injector = self.fault_injector
         if injector is None:
             return list(selected), [], []
-        alive = [c for c in selected if not injector.crashed(c, round_index)]
-        crashed = [c for c in selected if c not in alive]
+        down = {c for c in selected if injector.crashed(c, round_index)}
+        alive = [c for c in selected if c not in down]
+        crashed = [c for c in selected if c in down]
         replacements: list[int] = []
         resample = (
             self.resilience.resample_crashed if self.resilience is not None else True
         )
         if crashed and resample:
+            sampled = set(selected)
             pool = [
                 c
                 for c in range(self.n_clients)
-                if c not in selected and injector.available(c, round_index)
+                if c not in sampled and injector.available(c, round_index)
             ]
             n_replace = min(len(crashed), len(pool))
             if n_replace > 0:
@@ -373,7 +363,12 @@ class FederatedTrainer:
         return outcome
 
     def run_round(self) -> RoundRecord:
-        """Execute one global coordination round and record its outcome."""
+        """Execute one global coordination round and record its outcome.
+
+        The round is a :class:`~repro.fl.client.CohortUpdate` plus masks
+        over its rows; the kept rows reach the coordinator as one
+        ``(K_kept, P)`` matrix.
+        """
         obs = self._observer
         injector = self.fault_injector
         resilience = self.resilience
@@ -397,87 +392,108 @@ class FederatedTrainer:
             round_span.__enter__()
 
         try:
-            updates: dict[int, LocalUpdate] = {}
-            slowdowns: dict[int, float] = {}
-            upload_attempts: dict[int, int] = {}
-            backoff_log: dict[int, float] = {}
-            failed: list[int] = []
-            corrupted_ids: list[int] = []
-            late: list[int] = []
-            results = self._engine.train_round(
+            cohort = self._engine.train_round(
                 participants, global_params, round_index, learning_rate
             )
-            for client_id, result in zip(participants, results):
-                update = result.update
-                if obs is not None:
-                    obs.profiler.observe(
-                        "profile.client_train_s", result.duration_s
+            params = cohort.parameters
+            ids = np.asarray(participants, dtype=np.int64)
+            k = len(participants)
+            steps = int(cohort.gradient_steps.sum())
+            self.total_gradient_steps += steps
+            # Fault hooks visit only the clients the plan names.
+            touched = []
+            if injector is not None:
+                touched = np.flatnonzero(np.isin(ids, injector.targets)).tolist()
+            slowdowns: dict[int, float] = {}
+            for i in touched:
+                injector.note_participation(participants[i], round_index)
+                slowdown = injector.slowdown(participants[i], round_index)
+                if slowdown > 1.0:
+                    slowdowns[participants[i]] = slowdown
+            # One vector draw is the same stream as K scalar draws.
+            dropped = np.zeros(k, dtype=bool)
+            if self.config.dropout_probability > 0:
+                dropped = self._dropout_rng.random(k) < self.config.dropout_probability
+
+            # Uploads: the compressed delta's wire bytes, else the full
+            # parameters at dense float32 size.
+            compressor = self.update_compressor
+            upload_bytes = np.where(dropped, 0, params.shape[1] * 4)
+            if compressor is not None:
+                for i in np.flatnonzero(~dropped).tolist():
+                    delta = params[i] - global_params
+                    compressed = (
+                        compressor.compress(participants[i], delta)
+                        if isinstance(compressor, ErrorFeedback)
+                        else compressor.compress(delta)
                     )
-                self.total_gradient_steps += update.gradient_steps
-                slowdown = 1.0
-                if injector is not None:
-                    injector.note_participation(client_id, round_index)
-                    slowdown = injector.slowdown(client_id, round_index)
-                    if slowdown > 1.0:
-                        slowdowns[client_id] = slowdown
-                dropped = (
-                    self.config.dropout_probability > 0
-                    and self._dropout_rng.random() < self.config.dropout_probability
-                )
+                    params[i] = global_params + compressed.dense
+                    upload_bytes[i] = compressed.payload_bytes
+            self.total_upload_bytes += int(upload_bytes.sum())
+            corrupted_ids: list[int] = []
+            for i in touched:
+                if dropped[i]:
+                    continue
+                fault = injector.corrupts(participants[i], round_index)
+                if fault is not None:
+                    params[i] = injector.corrupt_payload(params[i], fault)
+                    corrupted_ids.append(participants[i])
+
+            # What is left per client: uploads under a retry policy, and
+            # the per-client events.
+            delivered = ~dropped
+            upload_attempts, backoff_log, failed, late = {}, {}, [], []
+            retries = 0
+            if obs is not None:
+                gradient_steps = cohort.gradient_steps.tolist()
+                losses = cohort.final_losses.tolist()
+                # Training time per client only where one was measured.
+                if cohort.durations_s is None:
+                    obs.profiler.observe("profile.cohort_train_s", cohort.elapsed_s)
+                    durations = [None] * k
+                else:
+                    durations = cohort.durations_s.tolist()
+                    for duration in durations if obs.profiler.enabled else ():
+                        obs.profiler.observe("profile.client_train_s", duration)
+            per_client = obs is not None or resilience is not None
+            for i in range(k if per_client else 0):
+                client_id = participants[i]
+                who = {"round": round_index, "client": client_id}
                 if obs is not None:
-                    obs.counter("fl.gradient_steps").inc(update.gradient_steps)
                     obs.emit(
                         "client.train",
-                        round=round_index,
-                        client=int(client_id),
-                        gradient_steps=update.gradient_steps,
-                        epochs=update.epochs,
-                        final_local_loss=update.final_local_loss,
-                        duration_s=result.duration_s,
-                        dropped=dropped,
+                        **who,
+                        gradient_steps=gradient_steps[i],
+                        epochs=cohort.epochs,
+                        final_local_loss=losses[i],
+                        duration_s=durations[i],
+                        dropped=bool(dropped[i]),
                     )
-                if dropped:
+                if dropped[i]:
                     continue
-                bytes_before = self.total_upload_bytes
-                update = self._apply_compression(
-                    client_id, update, global_params
-                )
-                upload_bytes = self.total_upload_bytes - bytes_before
-                if injector is not None:
-                    corruption = injector.corrupts(client_id, round_index)
-                    if corruption is not None:
-                        update = replace(
-                            update,
-                            parameters=injector.corrupt_payload(
-                                update.parameters, corruption
-                            ),
-                        )
-                        corrupted_ids.append(client_id)
                 if resilience is not None:
                     outcome = self._simulate_resilient_upload(
-                        client_id, round_index, upload_bytes
+                        client_id, round_index, int(upload_bytes[i])
                     )
                     upload_attempts[client_id] = outcome.attempts
                     if outcome.backoff_s > 0:
                         backoff_log[client_id] = outcome.backoff_s
+                    retries += outcome.retries
                     if obs is not None and outcome.retries > 0:
-                        obs.counter("fl.retries").inc(outcome.retries)
                         obs.emit(
                             "client.upload_retry",
-                            round=round_index,
-                            client=int(client_id),
+                            **who,
                             attempts=outcome.attempts,
                             backoff_s=outcome.backoff_s,
                             delivered=outcome.delivered,
                         )
                     if not outcome.delivered:
                         failed.append(client_id)
+                        delivered[i] = False
                         if obs is not None:
-                            obs.counter("fl.failed_uploads").inc()
                             obs.emit(
                                 "client.upload_failed",
-                                round=round_index,
-                                client=int(client_id),
+                                **who,
                                 attempts=outcome.attempts,
                                 timed_out=outcome.timed_out,
                             )
@@ -485,75 +501,77 @@ class FederatedTrainer:
                     if resilience.round_deadline_s is not None:
                         arrival_s = (
                             self._nominal_compute_s(client_id, round_index)
-                            * slowdown
+                            * slowdowns.get(client_id, 1.0)
                             + outcome.total_s
                         )
                         if arrival_s > resilience.round_deadline_s:
                             late.append(client_id)
+                            delivered[i] = False
                             if obs is not None:
-                                obs.counter("fl.late_uploads").inc()
                                 obs.emit(
                                     "client.late",
-                                    round=round_index,
-                                    client=int(client_id),
+                                    **who,
                                     arrival_s=arrival_s,
                                     deadline_s=resilience.round_deadline_s,
                                 )
                             continue
-                updates[client_id] = update
-                self.total_uploads += 1
                 if obs is not None:
-                    obs.counter("fl.uploads").inc()
-                    obs.counter("fl.upload_bytes").inc(upload_bytes)
-                    obs.emit(
-                        "client.upload",
-                        round=round_index,
-                        client=int(client_id),
-                        upload_bytes=upload_bytes,
-                    )
+                    obs.emit("client.upload", **who, upload_bytes=int(upload_bytes[i]))
+            n_uploaded = int(delivered.sum())
+            self.total_uploads += n_uploaded
+            if obs is not None:
+                for name, amount in (
+                    ("fl.gradient_steps", steps),
+                    ("fl.retries", retries),
+                    ("fl.failed_uploads", len(failed)),
+                    ("fl.late_uploads", len(late)),
+                    ("fl.uploads", n_uploaded),
+                    ("fl.upload_bytes", int(upload_bytes[delivered].sum())),
+                ):
+                    if amount:
+                        obs.counter(name).inc(amount)
 
             # Over-selection: keep only the first K arrivals among survivors.
+            kept = np.flatnonzero(delivered)
             if self.completion_ranker is not None:
-                arrival_order = self.completion_ranker(
-                    round_index, list(participants)
-                )
-            else:
-                arrival_order = list(participants)
-            kept_ids = [
-                cid for cid in arrival_order if cid in updates
-            ][: self.config.participants_per_round]
+                row_of = {c: i for i, c in enumerate(participants)}
+                order = self.completion_ranker(round_index, list(participants))
+                ranked = np.array([row_of[c] for c in order], dtype=np.int64)
+                kept = ranked[delivered[ranked]]
+            kept = kept[: self.config.participants_per_round]
             if resilience is not None and resilience.reject_nonfinite:
-                finite_ids = []
-                for cid in kept_ids:
-                    if np.all(np.isfinite(updates[cid].parameters)):
-                        finite_ids.append(cid)
-                    elif obs is not None:
-                        obs.counter("fl.nonfinite_rejected").inc()
+                finite = np.isfinite(params[kept]).all(axis=1)
+                if obs is not None and not finite.all():
+                    obs.counter("fl.nonfinite_rejected").inc(int((~finite).sum()))
+                    for i in kept[~finite]:
                         obs.emit(
                             "client.reject_nonfinite",
                             round=round_index,
-                            client=int(cid),
+                            client=participants[i],
                         )
-                kept_ids = finite_ids
-            kept_updates = [updates[cid] for cid in kept_ids]
+                kept = kept[finite]
 
             quorum = resilience.min_quorum if resilience is not None else 1
-            degraded = len(kept_updates) < max(1, quorum)
+            degraded = len(kept) < max(1, quorum)
             if degraded:
                 # Graceful degradation: too few survivors — carry the
                 # last good model forward and mark the round degraded.
                 self.coordinator.skip_round()
-                kept_ids = []
                 if obs is not None:
                     obs.counter("fl.rounds_degraded").inc()
                     obs.emit(
                         "round.degraded",
                         round=round_index,
-                        survivors=len(kept_updates),
+                        survivors=len(kept),
                         quorum=quorum,
                     )
+                kept = kept[:0]
             else:
-                self.coordinator.aggregate(kept_updates)
+                self.coordinator.aggregate(
+                    params[kept],
+                    n_samples=cohort.n_samples[kept],
+                    client_ids=ids[kept],
+                )
             self._schedule.advance()
 
             # Evaluation is cached on the coordinator's parameter
@@ -582,7 +600,7 @@ class FederatedTrainer:
                 participants=tuple(participants),
                 local_epochs=self.config.local_epochs,
                 learning_rate=learning_rate,
-                aggregated=tuple(sorted(kept_ids)),
+                aggregated=tuple(np.sort(ids[kept]).tolist()),
                 degraded=degraded,
             )
             self.history.append(record)
@@ -600,7 +618,7 @@ class FederatedTrainer:
                     late=tuple(late),
                     degraded=degraded,
                     quorum=quorum,
-                    n_aggregated=len(kept_ids),
+                    n_aggregated=len(kept),
                 )
                 self.resilience_log.append(report)
                 if obs is not None:

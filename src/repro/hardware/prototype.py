@@ -19,7 +19,7 @@ The "real measurement traces" of Figs. 5-6 are produced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,14 @@ from repro.faults.models import FaultPlan
 from repro.faults.policies import ResilienceConfig
 from repro.fl.model import LogisticRegressionConfig
 from repro.fl.partition import partition_iid
-from repro.fl.population import AggregationTree
+from repro.fl.engine import is_vectorizable, resolve_backend
+from repro.fl.population import AggregationTree, PopulationState
 from repro.fl.server import Coordinator
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.fl.metrics import TrainingHistory
 from repro.hardware.power_meter import MeterConfig, PowerMeter
-from repro.hardware.power_model import StepPowers
+from repro.hardware.power_model import RoundPhase, StepPowers
 from repro.hardware.raspberry_pi import PiTimingConfig, RaspberryPiEdgeServer
 from repro.hardware.trace import PowerTrace
 from repro.iot.network import IoTNetwork
@@ -155,6 +156,12 @@ class PrototypeResult:
         return self.wasted_energy_j / self.total_energy_j
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, bit-identical to adding client by client
+    (``np.sum`` adds pairwise)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
 class HardwarePrototype:
     """The simulated 20-Pi testbed.
 
@@ -239,6 +246,40 @@ class HardwarePrototype:
             )
         self._download = model_download_message(self.config.model)
         self._upload = model_upload_message(self.config.model)
+        self._table: dict[str, np.ndarray] | None = None
+
+    def _device_table(self) -> dict[str, np.ndarray]:
+        """Per-device constants as ``(N,)`` vectors, built on first use."""
+        if self._table is None:
+            fields = ("tau0", "tau1") + tuple(
+                f"{phase.value}_w" for phase in RoundPhase
+            )
+            table = {
+                name: np.array(
+                    [
+                        getattr(d.timing if name.startswith("tau") else d.powers, name)
+                        for d in self.devices
+                    ]
+                )
+                for name in fields
+            }
+            table["n_samples"] = np.array([len(p) for p in self._partitions])
+            if self.config.include_iot:
+                assert self.iot_network is not None
+                table["collecting_j"] = np.array(
+                    [
+                        self.iot_network.cluster(i).collection_energy(int(n))
+                        for i, n in enumerate(table["n_samples"])
+                    ]
+                )
+            self._table = table
+        return self._table
+
+    def _transfer_s(self, message: ModelMessage) -> float:
+        """Transfer time of ``message``, the same on every device: each
+        device's link is built from the testbed's channel config."""
+        channel = WirelessChannel(self.config.channel)
+        return channel.transfer_message(message).duration_s
 
     @property
     def samples_per_server(self) -> int:
@@ -263,20 +304,12 @@ class HardwarePrototype:
         elif self.iot_network is not None:
             for server_id, value in self.iot_network.rho_values().items():
                 rho[server_id] = value
-        c0 = np.array(
-            [d.timing.tau0 * d.powers.training_w for d in self.devices]
-        )
-        c1 = np.array(
-            [d.timing.tau1 * d.powers.training_w for d in self.devices]
-        )
-        e_upload = np.array(
-            [d.upload_energy(self._upload) for d in self.devices]
-        )
+        table = self._device_table()
         return HeterogeneousEnergyParams(
             rho=rho,
-            c0=c0,
-            c1=c1,
-            e_upload=e_upload,
+            c0=table["tau0"] * table["training_w"],
+            c1=table["tau1"] * table["training_w"],
+            e_upload=self._transfer_s(self._upload) * table["uploading_w"],
             n_samples=self.samples_per_server,
         )
 
@@ -293,9 +326,6 @@ class HardwarePrototype:
         resilience: ResilienceConfig | None = None,
         federated_config: FederatedConfig | None = None,
     ) -> FederatedTrainer:
-        clients = build_clients(
-            self._partitions, self.config.model, seed=self.config.seed
-        )
         # A caller-supplied config (e.g. a RunSpec projection) is used
         # verbatim so every training knob it declares — dropout,
         # proximal mu, pool workers — is honored; otherwise one is
@@ -310,6 +340,25 @@ class HardwarePrototype:
             seed=self.config.seed,
             backend=self.config.backend,
         )
+        backend = resolve_backend(
+            fed_config.backend,
+            fed_config,
+            self.config.n_servers,
+            self.config.model,
+        )
+        if backend == "population" and is_vectorizable(
+            self.config.model, fed_config
+        ):
+            # Straight to struct-of-arrays: no per-client objects.
+            clients = PopulationState.from_datasets(
+                self._partitions,
+                self.config.model,
+                dtype=fed_config.population_dtype,
+            )
+        else:
+            clients = build_clients(
+                self._partitions, self.config.model, seed=self.config.seed
+            )
         coordinator = None
         if self.config.aggregation_tiers > 0:
             coordinator = Coordinator(
@@ -339,56 +388,6 @@ class HardwarePrototype:
             resilience=resilience,
             upload_channel=WirelessChannel(self.config.channel),
             client_time_fn=client_time_fn,
-        )
-
-    def _round_energy(
-        self,
-        server_id: int,
-        epochs: int,
-        n_samples: int,
-        upload: ModelMessage | None = None,
-    ) -> float:
-        device = self.devices[server_id]
-        timing = device.round_timing(
-            epochs, n_samples, self._download, upload or self._upload
-        )
-        phases = device.phase_energies(
-            timing, include_waiting=self.config.include_waiting
-        )
-        energy = sum(phases.values())
-        if self._observer is not None:
-            for phase, joules in phases.items():
-                self._observer.counter("energy.joules", phase=phase).inc(joules)
-        if self.config.include_iot:
-            assert self.iot_network is not None
-            collected = self.iot_network.cluster(server_id).collection_energy(
-                n_samples
-            )
-            energy += collected
-            if self._observer is not None:
-                self._observer.counter("energy.joules", phase="collect").inc(
-                    collected
-                )
-        return energy
-
-    def _nominal_round_energy(
-        self, server_id: int, epochs: int, upload: ModelMessage
-    ) -> float:
-        """Jitter-free active energy of one round at one device.
-
-        Used to price the *futile* work of clients whose round failed
-        (upload lost, deadline missed, payload rejected) into the
-        ``energy.wasted_j`` counter without consuming any device
-        randomness or double-counting telemetry.
-        """
-        device = self.devices[server_id]
-        n_k = len(self._partitions[server_id])
-        return (
-            device.training_duration(epochs, n_k) * device.powers.training_w
-            + device.channel.attempt_duration(self._download.total_bytes)
-            * device.powers.downloading_w
-            + device.channel.attempt_duration(upload.total_bytes)
-            * device.powers.uploading_w
         )
 
     def run(
@@ -454,22 +453,53 @@ class HardwarePrototype:
                 "upload",
                 compressor.compressed_bytes(self.config.model.n_parameters),
             )
-        round_timings: dict[int, dict[int, float]] = {}
+        table = self._device_table()
+        download_s = self._transfer_s(self._download)
+        upload_s = self._transfer_s(upload_message)
+        train_s = epochs * (table["tau0"] * table["n_samples"] + table["tau1"])
+        # Jitter-free active energy of one round at each device: what a
+        # futile round (upload failed, deadline missed, update rejected)
+        # wastes, priced without consuming any device randomness.
+        nominal_j = (
+            train_s * table["training_w"] + download_s * table["downloading_w"]
+        ) + upload_s * table["uploading_w"]
+        jittered = self.config.timing.jitter_fraction > 0
+        drawn: dict[int, tuple] = {}
+
+        def phase_durations(round_index: int, ids: np.ndarray) -> tuple:
+            """(waiting, download, train, upload) seconds per participant
+            (scalars for the phases no device varies in).
+
+            Drawn once per round, so ranking, energy and the awaited
+            duration all describe the same (possibly jittered) round.
+            """
+            if round_index not in drawn:
+                drawn.clear()
+                if jittered:
+                    timings = [
+                        self.devices[c].round_timing(
+                            epochs, int(n), self._download, upload_message
+                        )
+                        for c, n in zip(ids, table["n_samples"][ids])
+                    ]
+                    drawn[round_index] = tuple(
+                        np.array([astuple(t) for t in timings]).reshape(-1, 4).T
+                    )
+                else:
+                    drawn[round_index] = (
+                        self.config.timing.waiting_s,
+                        download_s,
+                        train_s[ids],
+                        upload_s,
+                    )
+            return drawn[round_index]
 
         def ranker(round_index: int, selected: list[int]) -> list[int]:
-            timings = {
-                cid: self.devices[cid]
-                .round_timing(
-                    epochs,
-                    len(self._partitions[cid]),
-                    self._download,
-                    upload_message,
-                )
-                .total_s
-                for cid in selected
-            }
-            round_timings[round_index] = timings
-            return sorted(selected, key=lambda cid: timings[cid])
+            waiting, download, train, upload = phase_durations(
+                round_index, np.asarray(selected, dtype=np.int64)
+            )
+            order = np.argsort(((waiting + download) + train) + upload, kind="stable")
+            return [selected[i] for i in order.tolist()]
 
         injector = (
             FaultInjector(
@@ -498,64 +528,63 @@ class HardwarePrototype:
         # it does).  Fog tiers shrink the per-round message count from K
         # to min(tiers, K); fog-side reception is the fog nodes' budget,
         # not the cloud's, so it is deliberately not charged here.
-        e_receive = float(
-            np.mean([d.upload_energy(upload_message) for d in self.devices])
-        )
+        e_receive = float(np.mean(upload_s * table["uploading_w"]))
         aggregation_messages = {"total": 0}
         iot_energy = 0.0
-        state = {"stop": False}
 
         def run_round(sim: Simulator) -> None:
             record = trainer.run_round()
-            round_energy = 0.0
-            round_duration = 0.0
-            timings = round_timings.get(record.round_index)
-            per_client_energy: dict[int, float] = {}
-            for server_id in record.participants:
-                n_k = len(self._partitions[server_id])
-                client_energy = self._round_energy(
-                    server_id, epochs, n_k, upload=upload_message
-                )
-                per_client_energy[server_id] = client_energy
-                round_energy += client_energy
+            ids = np.asarray(record.participants, dtype=np.int64)
+            waiting, download, train, upload = phase_durations(
+                record.round_index, ids
+            )
+            # Per-client energy, elementwise in the order one client's
+            # phases are added up: ((download + train) + upload), then
+            # waiting and data collection when they are priced.
+            phases = {
+                "downloading": download * table["downloading_w"][ids],
+                "training": train * table["training_w"][ids],
+                "uploading": upload * table["uploading_w"][ids],
+            }
+            if self.config.include_waiting:
+                phases["waiting"] = waiting * table["waiting_w"][ids]
+            if self.config.include_iot:
+                phases["collect"] = table["collecting_j"][ids]
+            client_energy = sum(phases.values())
+            if self._observer is not None and len(ids):
+                for phase, joules in phases.items():
+                    self._observer.counter("energy.joules", phase=phase).inc(
+                        float(joules.sum())
+                    )
+            round_energy = _sequential_sum(client_energy)
+            overhead = 0.0  # retry transmissions and backoff waits, seconds
             report = trainer.last_resilience_report
             if report is not None and report.round_index != record.round_index:
                 report = None
-            retry_overhead: dict[int, float] = {}
             round_wasted = 0.0
             if report is not None:
                 # Price the failure cost at the measured step powers:
                 # retry transmissions at 5.015 W upload power, backoff
                 # waits at 3.600 W waiting power, futile rounds in full.
+                row_of = {c: i for i, c in enumerate(record.participants)}
+                overhead = np.zeros(len(ids))
                 for server_id, attempts in report.upload_attempts.items():
-                    device = self.devices[server_id]
-                    attempt_s = device.channel.attempt_duration(
-                        upload_message.total_bytes
-                    )
+                    retries = max(0, attempts - 1)
                     backoff_s = report.backoff_s.get(server_id, 0.0)
                     retry_j = (
-                        max(0, attempts - 1)
-                        * attempt_s
-                        * device.powers.uploading_w
+                        retries * upload_s * float(table["uploading_w"][server_id])
                     )
-                    wait_j = backoff_s * device.powers.waiting_w
+                    wait_j = backoff_s * float(table["waiting_w"][server_id])
                     if retry_j or wait_j:
+                        row = row_of[server_id]
                         round_energy += retry_j + wait_j
                         round_wasted += retry_j + wait_j
-                        per_client_energy[server_id] = (
-                            per_client_energy.get(server_id, 0.0)
-                            + retry_j
-                            + wait_j
-                        )
-                        retry_overhead[server_id] = (
-                            max(0, attempts - 1) * attempt_s + backoff_s
-                        )
+                        client_energy[row] = client_energy[row] + retry_j + wait_j
+                        overhead[row] = retries * upload_s + backoff_s
                 futile = set(report.failed_uploads) | set(report.late)
                 futile |= set(report.corrupted)
                 for server_id in futile:
-                    round_wasted += self._nominal_round_energy(
-                        server_id, epochs, upload_message
-                    )
+                    round_wasted += float(nominal_j[server_id])
                 wasted_energy["total"] += round_wasted
                 if self._observer is not None and round_wasted > 0:
                     self._observer.counter("energy.wasted_j").inc(round_wasted)
@@ -563,27 +592,22 @@ class HardwarePrototype:
                 # Drain the declared batteries by the energy actually
                 # measured this round (depleted devices crash from the
                 # next round onward).
-                for server_id, client_energy in per_client_energy.items():
+                for row in np.flatnonzero(np.isin(ids, injector.targets)):
                     injector.note_participation(
-                        server_id, record.round_index, energy_j=client_energy
+                        int(ids[row]),
+                        record.round_index,
+                        energy_j=float(client_energy[row]),
                     )
             if record.aggregated:
                 aggregation_messages["total"] += cloud_fan_in(
                     len(record.aggregated), self.config.aggregation_tiers
                 )
-            awaited = record.aggregated or record.participants
-            for server_id in awaited:
-                if timings is not None:
-                    duration = timings[server_id]
-                else:
-                    duration = self.devices[server_id].round_timing(
-                        epochs,
-                        len(self._partitions[server_id]),
-                        self._download,
-                        upload_message,
-                    ).total_s
-                duration += retry_overhead.get(server_id, 0.0)
-                round_duration = max(round_duration, duration)
+            awaited = slice(None)
+            if record.aggregated:
+                order = np.argsort(ids)
+                awaited = order[np.searchsorted(ids, record.aggregated, sorter=order)]
+            totals = (((waiting + download) + train) + upload) + overhead
+            round_duration = float(totals[awaited].max(initial=0.0))
             if (
                 resilience is not None
                 and resilience.round_deadline_s is not None
@@ -616,7 +640,6 @@ class HardwarePrototype:
                 and record.test_accuracy >= target_accuracy
             )
             if done:
-                state["stop"] = True
                 # Advance the clock over the final round without
                 # scheduling another one.
                 sim.schedule(round_duration, lambda s: None, label="final-upload")
@@ -630,13 +653,14 @@ class HardwarePrototype:
             trainer.close()
 
         if self.config.include_iot:
-            assert self.iot_network is not None
-            for record in trainer.history.records:
-                for server_id in record.participants:
-                    n_k = len(self._partitions[server_id])
-                    iot_energy += self.iot_network.cluster(
-                        server_id
-                    ).collection_energy(n_k)
+            iot_energy = _sequential_sum(
+                np.concatenate(
+                    [
+                        table["collecting_j"][np.asarray(r.participants, dtype=int)]
+                        for r in trainer.history.records
+                    ]
+                )
+            )
 
         history = trainer.history
         reached = (
@@ -681,11 +705,20 @@ class HardwarePrototype:
         energy_counter = {"total": 0.0}
 
         def duration(client_id: int) -> float:
+            # One timing draw prices both the job's length and its energy.
+            device = self.devices[client_id]
             n_k = len(self._partitions[client_id])
-            timing = self.devices[client_id].round_timing(
-                epochs, n_k, self._download, self._upload
-            )
-            energy_counter["total"] += self._round_energy(client_id, epochs, n_k)
+            timing = device.round_timing(epochs, n_k, self._download, self._upload)
+            phases = device.phase_energies(timing, self.config.include_waiting)
+            if self.config.include_iot:
+                assert self.iot_network is not None
+                phases["collect"] = self.iot_network.cluster(
+                    client_id
+                ).collection_energy(n_k)
+            energy_counter["total"] += sum(phases.values())
+            if self._observer is not None:
+                for phase, joules in phases.items():
+                    self._observer.counter("energy.joules", phase=phase).inc(joules)
             return timing.total_s - timing.waiting_s
 
         clients = build_clients(

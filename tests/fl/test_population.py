@@ -12,12 +12,19 @@ to the flat mean.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
 from repro.faults.injector import FaultInjector
-from repro.faults.models import make_demo_plan
+from repro.faults.models import (
+    BatteryFault,
+    CorruptionFault,
+    FaultPlan,
+    make_demo_plan,
+)
 from repro.faults.policies import ResilienceConfig, RetryPolicy
 from repro.fl.client import EdgeServerClient, LocalUpdate
 from repro.fl.engine import (
@@ -39,6 +46,8 @@ from repro.fl.sampling import FloydSampler
 from repro.fl.server import Coordinator, aggregate_mean
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
+from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
+from repro.iot.network import IoTNetwork
 from repro.obs.observer import Observer
 from repro.perf.cache import StackCache
 from repro.perf.shared_data import SharedDatasetStore, attach_datasets
@@ -399,7 +408,7 @@ class TestPopulationEngineFallback:
         engine = PopulationEngine(clients, config)
         assert engine.state is None
 
-    def test_from_state_requires_vectorizable(self):
+    def test_state_requires_vectorizable(self):
         state = PopulationState.synthesize(8, seed=0)
         config = FederatedConfig(
             n_rounds=1,
@@ -408,10 +417,18 @@ class TestPopulationEngineFallback:
             sgd=SGDConfig(learning_rate=0.3, batch_size=8),
             backend="population",
         )
-        engine = PopulationEngine.from_state(state, config)
-        anchor = state.model_config.build().get_parameters()
-        with pytest.raises(RuntimeError, match="cannot fall back"):
-            engine.train_round([0], anchor, 0, 0.1)
+        with pytest.raises(ValueError, match="cannot fall back"):
+            PopulationEngine(state, config)
+
+    def test_state_trains_only_on_population_backend(self):
+        state = PopulationState.from_datasets(_PARTITIONS, _CONFIG)
+        config = FederatedConfig(
+            n_rounds=1, participants_per_round=2, local_epochs=1
+        )
+        with pytest.raises(ValueError, match="only on the 'population'"):
+            FederatedTrainer(
+                clients=state, config=config, train_eval=_TRAIN, test_eval=_TEST
+            )
 
 
 class TestFloydSampler:
@@ -608,3 +625,94 @@ class TestSharedStoreFromPopulation:
         finally:
             from_objects.close()
             from_state.close()
+
+
+def _prototype_run(backend: str, **config_kwargs):
+    """A prototype run with every pricing path on: dropout, fog tiers,
+    heterogeneous devices, IoT collection, faults and resilience."""
+    n_servers = 12
+    iot = IoTNetwork.homogeneous(n_servers, devices_per_cluster=2, sample_bytes=50)
+    prototype = HardwarePrototype(
+        _TRAIN,
+        _TEST,
+        PrototypeConfig(
+            n_servers=n_servers,
+            model=_CONFIG,
+            sgd=SGDConfig(learning_rate=0.5, decay=0.99),
+            include_iot=True,
+            heterogeneity=0.3,
+            aggregation_tiers=2,
+            backend=backend,
+            seed=4,
+            **config_kwargs,
+        ),
+        iot_network=iot,
+    )
+    demo = make_demo_plan(
+        n_servers, seed=13, crash_fraction=0.2, loss_fraction=0.3, loss_bad=0.95
+    )
+    plan = FaultPlan(
+        seed=13,
+        faults=demo.faults
+        + (
+            CorruptionFault(client_id=0, probability=0.5),
+            BatteryFault(client_id=1, capacity_j=0.05),
+        ),
+    )
+    return prototype.run(
+        federated_config=FederatedConfig(
+            n_rounds=12,
+            participants_per_round=4,
+            local_epochs=2,
+            sgd=SGDConfig(learning_rate=0.5, decay=0.99),
+            dropout_probability=0.2,
+            overselection=1,
+            seed=4,
+            backend=backend,
+        ),
+        fault_plan=plan,
+        resilience=ResilienceConfig(
+            retry=RetryPolicy(max_retries=1), min_quorum=1, round_deadline_s=0.3
+        ),
+    )
+
+
+class TestPrototypeEquivalence:
+    def test_population_prototype_matches_sequential(self):
+        reference = _prototype_run("sequential")
+        candidate = _prototype_run("population")
+        assert reference.wasted_energy_j > 0
+        np.testing.assert_array_equal(
+            candidate.energy_per_round_j, reference.energy_per_round_j
+        )
+        assert candidate.total_energy_j == reference.total_energy_j
+        assert candidate.wasted_energy_j == reference.wasted_energy_j
+        assert candidate.aggregation_energy_j == reference.aggregation_energy_j
+        assert candidate.iot_energy_j == reference.iot_energy_j
+        assert candidate.wall_clock_s == reference.wall_clock_s
+        assert candidate.degraded_rounds == reference.degraded_rounds
+        for rec_ref, rec_new in zip(
+            reference.history.records, candidate.history.records
+        ):
+            assert rec_ref.participants == rec_new.participants
+            assert rec_ref.aggregated == rec_new.aggregated
+            assert rec_new.train_loss == pytest.approx(
+                rec_ref.train_loss, abs=1e-10
+            )
+            assert rec_new.test_accuracy == rec_ref.test_accuracy
+
+    def test_population_path_builds_no_client_objects(self, monkeypatch):
+        built: Counter[str] = Counter()
+        for cls in (EdgeServerClient, LocalUpdate):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        _prototype_run("population")
+        assert built == Counter()
+        # The counter does see the sequential path's objects.
+        _prototype_run("sequential")
+        assert built["EdgeServerClient"] > 0 and built["LocalUpdate"] > 0

@@ -8,8 +8,10 @@ import pytest
 from repro.data.synthetic_mnist import generate_synthetic_mnist
 from repro.fl.sgd import SGDConfig
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
+from repro.hardware.raspberry_pi import PiTimingConfig, RaspberryPiEdgeServer
 from repro.iot.network import IoTNetwork
 from repro.net.messages import model_download_message, model_upload_message
+from repro.obs import Observer
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,59 @@ class TestRun:
         b = prototype.run(participants=3, epochs=2, n_rounds=4)
         np.testing.assert_allclose(a.energy_per_round_j, b.energy_per_round_j)
         np.testing.assert_array_equal(a.history.losses, b.history.losses)
+
+
+class TestJitteredTiming:
+    @pytest.mark.parametrize("overselection", [0, 2])
+    def test_energy_and_duration_share_one_draw(
+        self, monkeypatch, overselection: int
+    ) -> None:
+        """Each participant's jittered timing is drawn once per round and
+        prices its energy, its arrival rank and the awaited duration."""
+        train = generate_synthetic_mnist(400, seed=5)
+        test = generate_synthetic_mnist(100, seed=6)
+        observer = Observer()
+        prototype = HardwarePrototype(
+            train,
+            test,
+            PrototypeConfig(
+                n_servers=6,
+                timing=PiTimingConfig(jitter_fraction=0.3),
+                seed=3,
+            ),
+            observer=observer,
+        )
+        drawn = []
+        round_timing = RaspberryPiEdgeServer.round_timing
+
+        def recorded(self, *args, **kwargs):
+            timing = round_timing(self, *args, **kwargs)
+            drawn.append((self.server_id, timing))
+            return timing
+
+        monkeypatch.setattr(RaspberryPiEdgeServer, "round_timing", recorded)
+        result = prototype.run(
+            participants=3, epochs=2, n_rounds=4, overselection=overselection
+        )
+        ends = observer.events.filter("prototype.round")
+        cursor = 0
+        for record, energy, end in zip(
+            result.history.records, result.energy_per_round_j, ends
+        ):
+            draws = drawn[cursor : cursor + len(record.participants)]
+            cursor += len(draws)
+            assert [server for server, _ in draws] == list(record.participants)
+            timings = dict(draws)
+            expected = sum(
+                sum(prototype.devices[server].phase_energies(timing).values())
+                for server, timing in draws
+            )
+            assert energy == pytest.approx(expected, rel=1e-12)
+            awaited = record.aggregated or record.participants
+            assert end.fields["duration_s"] == max(
+                timings[server].total_s for server in awaited
+            )
+        assert cursor == len(drawn)
 
 
 class TestIoTCoupling:

@@ -133,6 +133,18 @@ class TestTrainerTelemetry:
         assert histogram.count == 2 * trainer.config.participants_per_round
         assert profiled.metrics.histogram("profile.aggregate_s").count == 2
 
+    @pytest.mark.parametrize("backend", ["batched", "population"])
+    def test_stacked_engines_profile_the_cohort(self, backend: str) -> None:
+        # A stacked cohort has no per-client training time: one cohort
+        # sample per round, and no fabricated per-client durations.
+        profiled = Observer(profile_hot_paths=True)
+        _observed_trainer(profiled, n_rounds=3, backend=backend).run()
+        snapshot = profiled.metrics.snapshot()
+        assert "profile.client_train_s" not in snapshot
+        assert profiled.metrics.histogram("profile.cohort_train_s").count == 3
+        trains = profiled.events.filter("client.train")
+        assert trains and all(e.fields["duration_s"] is None for e in trains)
+
 
 @pytest.mark.telemetry_smoke
 class TestSimulatorTelemetry:
