@@ -27,6 +27,9 @@ Public API highlights:
 * :mod:`repro.obs` — structured events, metrics, tracing, profiling;
   attach an :class:`~repro.obs.Observer` to any execution layer.
 
+Importing the package sets every loaded OpenBLAS to one thread
+(:mod:`repro.perf.blas`); parallelism comes from processes only.
+
 Deprecated (still importable from here, with a ``DeprecationWarning``):
 ``ExperimentScale``, ``FederatedConfig``, and ``ResilienceConfig`` are
 now projections of :class:`RunSpec` — new code should declare a
@@ -61,6 +64,11 @@ from repro.core import (
     EnergyPlanner,
 )
 from repro.obs import NullObserver, Observer
+from repro.perf.blas import pin_blas_threads
+
+# numpy and scipy have loaded their OpenBLAS by now: compute with one
+# BLAS thread per process (see repro.perf.blas).
+pin_blas_threads()
 
 __version__ = "1.0.0"
 

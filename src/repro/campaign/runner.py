@@ -34,7 +34,7 @@ import os
 import signal
 import time
 import traceback as traceback_module
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,6 +60,7 @@ from repro.obs.sink import (
     read_spool_tail,
     set_spool_context,
 )
+from repro.perf.blas import blas_threads
 from repro.perf.scheduler import (
     ParallelUnitScheduler,
     SupervisionPolicy,
@@ -369,66 +370,69 @@ def _execute_and_record(payload) -> dict:
         else:
             observer = Observer()
     started = time.perf_counter()
-    try:
-        if observer is not None:
-            observer.emit(
-                "unit.start",
-                unit=spec.name,
-                key=key,
-                rounds_planned=spec.max_rounds,
-                cost=estimate_unit_cost(spec),
-                attempt=unit.attempt,
+    with ExitStack() as stack:
+        try:
+            if observer is not None:
+                observer.emit(
+                    "unit.start",
+                    unit=spec.name,
+                    key=key,
+                    rounds_planned=spec.max_rounds,
+                    cost=estimate_unit_cost(spec),
+                    attempt=unit.attempt,
+                )
+            if saboteur is not None:
+                saboteur.on_start(unit.attempt)
+            result = execute_unit(spec, observer=observer)
+            duration_s = time.perf_counter() - started
+            telemetry_jsonl = None
+            if observer is not None:
+                observer.emit(
+                    "unit.end",
+                    unit=spec.name,
+                    key=key,
+                    rounds=int(result.rounds),
+                    duration_s=duration_s,
+                )
+                observer.emit("metrics.snapshot", **observer.snapshot())
+                telemetry_jsonl = observer.events.to_jsonl()
+            checkpoint = stack.enter_context(_sigterm_held())
+            store.record_unit(
+                spec,
+                result.history,
+                _result_document(spec, result),
+                telemetry_jsonl=telemetry_jsonl,
             )
-        if saboteur is not None:
-            saboteur.on_start(unit.attempt)
-        result = execute_unit(spec, observer=observer)
-        duration_s = time.perf_counter() - started
-        telemetry_jsonl = None
-        if observer is not None:
-            observer.emit(
-                "unit.end",
-                unit=spec.name,
-                key=key,
-                rounds=int(result.rounds),
-                duration_s=duration_s,
-            )
-            observer.emit("metrics.snapshot", **observer.snapshot())
-            telemetry_jsonl = observer.events.to_jsonl()
-        store.record_unit(
-            spec,
-            result.history,
-            _result_document(spec, result),
-            telemetry_jsonl=telemetry_jsonl,
-        )
-        if saboteur is not None:
-            saboteur.corrupt_artifacts(store.unit_dir(key), unit.attempt)
-        problems = store.verify_unit(key)
-        if problems:
-            raise UnitVerificationError(
-                f"unit {spec.name} failed verify-after-write: "
-                + "; ".join(problems)
-            )
-    except BaseException:
+            if saboteur is not None:
+                saboteur.corrupt_artifacts(store.unit_dir(key), unit.attempt)
+            problems = store.verify_unit(key)
+            if problems:
+                raise UnitVerificationError(
+                    f"unit {spec.name} failed verify-after-write: "
+                    + "; ".join(problems)
+                )
+        except BaseException:
+            if isinstance(observer, SpoolObserver):
+                observer.finalize(status="error")
+            raise
+        finally:
+            clear_spool_context()
+        if unit.heartbeat:
+            _clear_heartbeat(store, key)
         if isinstance(observer, SpoolObserver):
-            observer.finalize(status="error")
-        raise
-    finally:
-        clear_spool_context()
-    if unit.heartbeat:
-        _clear_heartbeat(store, key)
-    if isinstance(observer, SpoolObserver):
-        # Sealed only after the store write: a spool without its "end"
-        # record means the unit is still running (or died) — exactly
-        # what the status display needs to distinguish.
-        observer.finalize(duration_s=duration_s)
-    return {
-        "key": key,
-        "name": spec.name,
-        "duration_s": duration_s,
-        "rounds": int(result.rounds),
-        "total_energy_j": float(result.total_energy_j),
-        "reached_target": bool(result.reached_target),
-    }
+            # Sealed only after the store write: a spool without its "end"
+            # record means the unit is still running (or died) — exactly
+            # what the status display needs to distinguish.
+            observer.finalize(duration_s=duration_s)
+        checkpoint["summary"] = {
+            "key": key,
+            "name": spec.name,
+            "duration_s": duration_s,
+            "rounds": int(result.rounds),
+            "total_energy_j": float(result.total_energy_j),
+            "reached_target": bool(result.reached_target),
+        }
+    return checkpoint["summary"]
 
 
 def _result_document(spec: RunSpec, result: PrototypeResult) -> dict:
@@ -482,8 +486,42 @@ def _sigterm_as_interrupt():
             )
 
 
+# Signals the SIGTERM handler is holding back, or None when it raises
+# at once (see _sigterm_held).
+_held_signals: list[int] | None = None
+
+
 def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
+    if _held_signals is not None:
+        _held_signals.append(signum)
+        return
     raise KeyboardInterrupt(f"terminated by signal {signum}")
+
+
+@contextmanager
+def _sigterm_held():
+    """Hold back SIGTERM while a finished unit is checkpointed.
+
+    A drain signal landing mid-write would leave an orphan unit
+    directory, and one landing after the write but before the caller
+    counts the unit would under-report ``executed`` against the store.
+    So :func:`_sigterm_handler` only records the signal inside this
+    block, and its ``KeyboardInterrupt`` is raised on exit, carrying as
+    ``unit_summary`` whatever the block stored under ``"summary"`` in
+    the yielded dict.  Only the runner's own handler holds signals; the
+    pool workers' handler still raises at once.
+    """
+    global _held_signals
+    _held_signals = held = []
+    checkpoint: dict = {}
+    try:
+        yield checkpoint
+    finally:
+        _held_signals = None
+        if held:
+            interrupt = KeyboardInterrupt(f"terminated by signal {held[0]}")
+            interrupt.unit_summary = checkpoint.get("summary")
+            raise interrupt
 
 
 class CampaignRunner:
@@ -496,7 +534,10 @@ class CampaignRunner:
         observer: optional campaign-level telemetry sink — receives
             ``campaign.start`` / ``campaign.unit`` / ``campaign.end``
             events and the ``campaign.units_run`` / ``campaign.units_skipped``
-            counters.  Per-unit *training* telemetry is controlled by
+            counters.  ``campaign.start`` records ``blas_threads``, the
+            BLAS thread count the units compute with (``None`` when no
+            OpenBLAS is loaded), which fixes their floating-point
+            reduction order.  Per-unit *training* telemetry is controlled by
             each unit's ``RunSpec.telemetry`` flag and lands in the
             unit's artifact directory instead.
         backend_override: run every unit on this execution backend
@@ -777,6 +818,7 @@ class CampaignRunner:
                 already_complete=len(completed),
                 quarantined=len(quarantined_keys),
                 jobs=jobs,
+                blas_threads=blas_threads(),
             )
         if jobs > 1:
             return self._run_parallel(
@@ -852,8 +894,9 @@ class CampaignRunner:
                                 chaos=self._chaos,
                             )
                         )
-                    except KeyboardInterrupt:
+                    except KeyboardInterrupt as interrupt:
                         interrupted = True
+                        unit_summary = getattr(interrupt, "unit_summary", None)
                     except Exception as error:
                         if supervision is None:
                             if collector is not None:

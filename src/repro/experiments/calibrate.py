@@ -79,9 +79,7 @@ def estimate_f_star(
 
     def loss_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
         model.set_parameters(flat)
-        loss = model.loss(train.features, train.labels)
-        grad = model.gradient_flat(train.features, train.labels)
-        return loss, grad
+        return model.forward_backward(train.features, train.labels)
 
     result = minimize(
         loss_and_grad,

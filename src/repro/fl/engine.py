@@ -47,6 +47,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -377,6 +378,12 @@ def _pool_initializer(
     into the campaign-wide telemetry merge.  Spool failures never break
     training — telemetry is strictly best-effort here.
     """
+    # ``Pool.terminate()`` stops workers with SIGTERM.  A worker forked
+    # from a campaign process inherits its SIGTERM -> KeyboardInterrupt
+    # handler, and a SIGTERM that lands just before the worker blocks on
+    # the task queue's lock is never acted on, so terminate() would wait
+    # on it forever.  The default action ends the process every time.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     datasets, handles = attach_datasets(spec)
     params, param_handle = attach_parameters(param_name, n_parameters)
     _POOL_STATE["datasets"] = datasets

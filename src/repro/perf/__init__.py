@@ -1,9 +1,11 @@
-"""Performance substrate: caches and shared-memory plumbing.
+"""Performance substrate: BLAS threading, caches and shared-memory plumbing.
 
 Helpers behind the pluggable execution engine
 (:mod:`repro.fl.engine`) and the vectorized sweep evaluation in
 :mod:`repro.core.objective`:
 
+* :mod:`repro.perf.blas` — one OpenBLAS thread per process, set by
+  ``import repro``;
 * :class:`EvalCache` — version-keyed memoization of the coordinator's
   round evaluation (skipped/degraded rounds reuse the previous result);
 * :class:`StackCache` — bounded FIFO cache of stacked per-cohort

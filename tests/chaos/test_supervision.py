@@ -401,6 +401,48 @@ class TestSigtermDrain:
             reference.root
         )
 
+    @pytest.mark.parametrize("moment", ["mid-write", "after-write"])
+    def test_sigterm_during_a_checkpoint_waits_for_it(
+        self, tmp_path, tiny_spec: RunSpec, monkeypatch, moment: str
+    ) -> None:
+        # The signal lands inside the first unit's checkpoint: after its
+        # first artifact file, or after its manifest entry.  The drain
+        # must finish that checkpoint and count the unit, leaving no
+        # orphan directory and no unit the summary does not report.
+        from repro.campaign import store as store_module
+
+        def sigterm_self() -> None:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        if moment == "mid-write":
+            atomic_write = store_module._atomic_write
+
+            def write_then_signal(path, text):
+                atomic_write(path, text)
+                if path.parent.parent == store.root / "units":
+                    monkeypatch.setattr(store_module, "_atomic_write", atomic_write)
+                    sigterm_self()
+
+            monkeypatch.setattr(store_module, "_atomic_write", write_then_signal)
+        else:
+            verify_unit = ArtifactStore.verify_unit
+
+            def signal_then_verify(store, key, entry=None):
+                monkeypatch.setattr(ArtifactStore, "verify_unit", verify_unit)
+                sigterm_self()
+                return verify_unit(store, key, entry)
+
+            monkeypatch.setattr(ArtifactStore, "verify_unit", signal_then_verify)
+        campaign = CampaignSpec(
+            name="held", base=tiny_spec, participants=(1, 2), epochs=(1,)
+        )
+        store = ArtifactStore(tmp_path / "store")
+        summary = CampaignRunner(campaign, store).run()
+        assert summary.interrupted
+        assert summary.executed == 1
+        assert len(store.completed_keys()) == 1
+        assert store.verify() == []
+
 
 class TestDoctor:
     def _grid(self, tiny_spec: RunSpec) -> CampaignSpec:

@@ -299,3 +299,41 @@ class TestPartialConstructionRollback:
         assert len(results) == 2
         engine.close()
         assert _shm_entries() - shm_before == set()
+
+
+class TestPoolWorkerSignals:
+    def test_pool_engine_workers_take_the_default_action(self) -> None:
+        # A campaign process maps SIGTERM onto KeyboardInterrupt, and the
+        # pool workers it forks inherit that handler.  A worker that gets
+        # Pool.terminate()'s SIGTERM just before it blocks on the task
+        # queue's lock never runs the handler, so terminate() would wait
+        # on it forever; the workers must restore the default action.
+        import signal
+
+        import numpy as np
+
+        from repro.data.synthetic_mnist import load_synthetic_mnist
+        from repro.fl.model import LogisticRegressionConfig
+        from repro.fl.partition import partition_iid
+        from repro.fl.training import build_clients
+        from repro.perf.scheduler import _raise_keyboard_interrupt
+
+        train, _ = load_synthetic_mnist(n_train=80, n_test=40, seed=0)
+        model = LogisticRegressionConfig(
+            n_features=train.n_features, n_classes=train.n_classes
+        )
+        shards = partition_iid(train, 4, np.random.default_rng(0))
+        clients = build_clients(shards, model)
+        config = FederatedConfig(
+            n_rounds=1, participants_per_round=2, local_epochs=1, backend="pool"
+        )
+        previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+        engine = create_engine("pool", clients, config)
+        try:
+            params = np.zeros(model.n_parameters, dtype=np.float64)
+            engine.train_round([0, 1], params, round_index=0, learning_rate=0.1)
+            handler = engine._pool.apply(signal.getsignal, (signal.SIGTERM,))
+        finally:
+            engine.close()
+            signal.signal(signal.SIGTERM, previous)
+        assert handler == signal.SIG_DFL
