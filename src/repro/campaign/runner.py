@@ -461,32 +461,33 @@ def _result_document(spec: RunSpec, result: PrototypeResult) -> dict:
 
 @contextmanager
 def _sigterm_as_interrupt():
-    """Map ``SIGTERM`` onto ``KeyboardInterrupt`` for the duration.
+    """Route ``SIGTERM`` and ``SIGINT`` through :func:`_sigterm_handler`.
 
     Cluster schedulers preempt with SIGTERM; converting it lets a
     campaign pass take the exact same graceful-drain-and-checkpoint
-    path as Ctrl-C.  Installing a handler is only legal from the main
+    path as Ctrl-C.  Ctrl-C's SIGINT goes through the same handler so
+    that both are held while a finished unit is checkpointed
+    (:func:`_sigterm_held`) and raise ``KeyboardInterrupt`` at once
+    anywhere else.  Installing a handler is only legal from the main
     thread — anywhere else (e.g. a runner driven from a worker thread
     in tests) the conversion is silently skipped.
     """
-    installed = False
-    previous = None
+    previous = {}
     try:
-        previous = signal.signal(signal.SIGTERM, _sigterm_handler)
-        installed = True
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            previous[signum] = signal.signal(signum, _sigterm_handler)
     except ValueError:  # not the main thread
         pass
     try:
         yield
     finally:
-        if installed:
+        for signum, handler in previous.items():
             signal.signal(
-                signal.SIGTERM,
-                previous if previous is not None else signal.SIG_DFL,
+                signum, handler if handler is not None else signal.SIG_DFL
             )
 
 
-# Signals the SIGTERM handler is holding back, or None when it raises
+# Signals the drain handler is holding back, or None when it raises
 # at once (see _sigterm_held).
 _held_signals: list[int] | None = None
 
@@ -500,7 +501,7 @@ def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
 
 @contextmanager
 def _sigterm_held():
-    """Hold back SIGTERM while a finished unit is checkpointed.
+    """Hold back SIGTERM and SIGINT while a finished unit is checkpointed.
 
     A drain signal landing mid-write would leave an orphan unit
     directory, and one landing after the write but before the caller

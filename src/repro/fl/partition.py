@@ -15,16 +15,48 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 
-__all__ = ["partition_iid", "partition_by_shards", "partition_dirichlet"]
+__all__ = [
+    "iid_shard",
+    "iid_split",
+    "partition_by_shards",
+    "partition_dirichlet",
+    "partition_iid",
+]
 
 
-def _validate(dataset: Dataset, n_partitions: int) -> None:
+def _validate(n_samples: int, n_partitions: int) -> None:
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be positive; got {n_partitions}")
-    if len(dataset) < n_partitions:
+    if n_samples < n_partitions:
         raise ValueError(
-            f"cannot split {len(dataset)} samples into {n_partitions} partitions"
+            f"cannot split {n_samples} samples into {n_partitions} partitions"
         )
+
+
+def iid_split(
+    n_samples: int, n_partitions: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The iid split as two vectors: a sample permutation and ``(N,)`` sizes.
+
+    Partition ``p`` is the ``p``-th consecutive run of ``sizes[p]``
+    indices of the permutation; the first ``n_samples % N`` partitions
+    hold one sample more than the rest.
+    """
+    _validate(n_samples, n_partitions)
+    order = rng.permutation(n_samples)
+    base, extra = divmod(n_samples, n_partitions)
+    sizes = np.full(n_partitions, base, dtype=np.int64)
+    sizes[:extra] += 1
+    return order, sizes
+
+
+def iid_shard(
+    dataset: Dataset, order: np.ndarray, n_partitions: int, p: int
+) -> Dataset:
+    """Partition ``p`` of ``dataset`` under the :func:`iid_split` ``order``."""
+    base, extra = divmod(len(order), n_partitions)
+    start = p * base + min(p, extra)
+    return dataset.subset(order[start : start + base + (p < extra)])
 
 
 def partition_iid(
@@ -35,9 +67,8 @@ def partition_iid(
     Sizes differ by at most one sample.  Every sample is assigned to
     exactly one partition.
     """
-    _validate(dataset, n_partitions)
-    perm = rng.permutation(len(dataset))
-    return [dataset.subset(chunk) for chunk in np.array_split(perm, n_partitions)]
+    order, _ = iid_split(len(dataset), n_partitions, rng)
+    return [iid_shard(dataset, order, n_partitions, p) for p in range(n_partitions)]
 
 
 def partition_by_shards(
@@ -53,7 +84,7 @@ def partition_by_shards(
     ``shards_per_partition`` random shards.  With few shards per partition
     each edge server sees only a couple of classes.
     """
-    _validate(dataset, n_partitions)
+    _validate(len(dataset), n_partitions)
     if shards_per_partition < 1:
         raise ValueError(
             f"shards_per_partition must be positive; got {shards_per_partition}"
@@ -90,7 +121,7 @@ def partition_dirichlet(
     ``alpha -> inf`` approaches iid.  Partitions are guaranteed non-empty
     by reassigning one sample from the largest partition when needed.
     """
-    _validate(dataset, n_partitions)
+    _validate(len(dataset), n_partitions)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive; got {alpha}")
     assigned: list[list[np.ndarray]] = [[] for _ in range(n_partitions)]

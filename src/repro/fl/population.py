@@ -276,6 +276,37 @@ class PopulationState:
         return cls(groups, model_config, dtype=dtype)
 
     @classmethod
+    def from_partition(
+        cls,
+        dataset: "Dataset",
+        order: np.ndarray,
+        sizes: np.ndarray,
+        model_config: LogisticRegressionConfig,
+        *,
+        dtype: np.dtype | str = np.float64,
+    ) -> "PopulationState":
+        """Stack the partition of ``dataset`` where client ``k`` holds the
+        ``k``-th consecutive run of ``sizes[k]`` indices of ``order``.
+
+        Equal to :meth:`from_datasets` over the shards themselves, but
+        gathers each size group with one fancy index and builds no
+        per-client :class:`Dataset`.
+        """
+        dtype = np.dtype(dtype)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        groups: dict[int, PopulationGroup] = {}
+        for n in np.unique(sizes).tolist():
+            ids = np.flatnonzero(sizes == n)
+            rows = order[starts[ids, None] + np.arange(n)]
+            groups[n] = PopulationGroup(
+                ids,
+                np.asarray(dataset.features[rows], dtype=dtype),
+                np.asarray(dataset.labels[rows], dtype=np.int64),
+            )
+        return cls(groups, model_config, dtype=dtype)
+
+    @classmethod
     def from_clients(
         cls,
         clients: Sequence[EdgeServerClient],

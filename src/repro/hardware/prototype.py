@@ -19,7 +19,10 @@ The "real measurement traces" of Figs. 5-6 are produced by
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import astuple, dataclass, field, replace
+from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultPlan
 from repro.faults.policies import ResilienceConfig
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.partition import partition_iid
+from repro.fl.partition import iid_shard, iid_split
 from repro.fl.engine import is_vectorizable, resolve_backend
 from repro.fl.population import AggregationTree, PopulationState
 from repro.fl.server import Coordinator
@@ -156,6 +159,31 @@ class PrototypeResult:
         return self.wasted_energy_j / self.total_energy_j
 
 
+_POWER_FIELDS = tuple(f"{phase.value}_w" for phase in RoundPhase)
+
+_T = TypeVar("_T")
+
+
+class _Lazy(Sequence[_T]):
+    """``n`` items, each built by ``build(i)`` on first index and kept."""
+
+    def __init__(self, n: int, build: Callable[[int], _T]) -> None:
+        self._n = n
+        self._build = build
+        self._built: dict[int, _T] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._n))]
+        i = range(self._n)[i]  # normalises negatives, raises IndexError
+        if i not in self._built:
+            self._built[i] = self._build(i)
+        return self._built[i]
+
+
 def _sequential_sum(values: np.ndarray) -> float:
     """Left-to-right sum, bit-identical to adding client by client
     (``np.sum`` adds pairwise)."""
@@ -173,6 +201,9 @@ class HardwarePrototype:
         iot_network: optional IoT substrate; required when
             ``config.include_iot`` is set, providing the per-server
             ``rho_k`` constants for the data-collection energy.
+        partitions: optional per-server shards (index == server id);
+            by default ``train`` is split iid, kept as a permutation and
+            a size vector, and a shard is built when first indexed.
         observer: optional telemetry sink, threaded through every layer
             the testbed drives: the FL trainer (round/client events), the
             DES engine (``sim.event`` records on the simulated clock),
@@ -196,84 +227,82 @@ class HardwarePrototype:
         self.train = train
         self.test = test
         self.iot_network = iot_network
-        rng = np.random.default_rng(self.config.seed)
+        config = self.config
+        n = config.n_servers
+        self._split: tuple[np.ndarray, np.ndarray] | None = None
         if partitions is None:
             # The paper's allocation: uniform iid split over the servers.
-            partitions = partition_iid(train, self.config.n_servers, rng)
-        elif len(partitions) != self.config.n_servers:
-            raise ValueError(
-                f"got {len(partitions)} partitions for "
-                f"{self.config.n_servers} servers"
+            self._split = iid_split(
+                len(train), n, np.random.default_rng(config.seed)
             )
+            order, sizes = self._split
+            partitions = _Lazy(n, partial(iid_shard, train, order, n))
+        elif len(partitions) != n:
+            raise ValueError(
+                f"got {len(partitions)} partitions for {n} servers"
+            )
+        else:
+            sizes = np.array([len(p) for p in partitions])
         self._partitions = partitions
         # Heterogeneous testbeds (config.heterogeneity > 0) draw a
         # per-device hardware factor: a faster, hungrier box has both
         # shorter epochs (timing / factor would be *speed*; here the
         # factor scales power and training time together as different
         # SoC bins do) — we scale powers up and timing independently so
-        # per-round energies genuinely differ across devices.
-        factor_rng = np.random.default_rng([self.config.seed, 0x4A4D])
-        self.devices = []
-        for i in range(self.config.n_servers):
-            timing = self.config.timing
-            powers = self.config.powers
-            if self.config.heterogeneity > 0:
-                power_factor = float(
-                    np.clip(
-                        factor_rng.normal(1.0, self.config.heterogeneity), 0.2, 3.0
-                    )
-                )
-                speed_factor = float(
-                    np.clip(
-                        factor_rng.normal(1.0, self.config.heterogeneity), 0.2, 3.0
-                    )
-                )
-                powers = powers.scaled(power_factor)
-                timing = PiTimingConfig(
-                    tau0=timing.tau0 * speed_factor,
-                    tau1=timing.tau1 * speed_factor,
-                    waiting_s=timing.waiting_s,
-                    jitter_fraction=timing.jitter_fraction,
-                )
-            self.devices.append(
-                RaspberryPiEdgeServer(
-                    server_id=i,
-                    timing=timing,
-                    powers=powers,
-                    channel=WirelessChannel(self.config.channel),
-                    rng=np.random.default_rng((self.config.seed, i)),
-                )
+        # per-round energies genuinely differ across devices.  Row i is
+        # device i's (power, speed) factor pair.
+        factors = np.ones((n, 2))
+        if config.heterogeneity > 0:
+            factor_rng = np.random.default_rng([config.seed, 0x4A4D])
+            factors = np.clip(
+                factor_rng.normal(1.0, config.heterogeneity, size=(n, 2)), 0.2, 3.0
             )
-        self._download = model_download_message(self.config.model)
-        self._upload = model_upload_message(self.config.model)
-        self._table: dict[str, np.ndarray] | None = None
+        # Per-device constants as (N,) vectors: the testbed's source of
+        # truth, from which a device object is built on first index.
+        self._table: dict[str, np.ndarray] = {
+            "tau0": config.timing.tau0 * factors[:, 1],
+            "tau1": config.timing.tau1 * factors[:, 1],
+            **{
+                name: getattr(config.powers, name) * factors[:, 0]
+                for name in _POWER_FIELDS
+            },
+            "n_samples": sizes,
+        }
+        if config.include_iot:
+            assert iot_network is not None
+            self._table["collecting_j"] = np.array(
+                [
+                    iot_network.cluster(i).collection_energy(int(n_k))
+                    for i, n_k in enumerate(sizes)
+                ]
+            )
+        self.devices = _Lazy(n, self._device)
+        self._download = model_download_message(config.model)
+        self._upload = model_upload_message(config.model)
 
-    def _device_table(self) -> dict[str, np.ndarray]:
-        """Per-device constants as ``(N,)`` vectors, built on first use."""
-        if self._table is None:
-            fields = ("tau0", "tau1") + tuple(
-                f"{phase.value}_w" for phase in RoundPhase
-            )
-            table = {
-                name: np.array(
-                    [
-                        getattr(d.timing if name.startswith("tau") else d.powers, name)
-                        for d in self.devices
-                    ]
-                )
-                for name in fields
-            }
-            table["n_samples"] = np.array([len(p) for p in self._partitions])
-            if self.config.include_iot:
-                assert self.iot_network is not None
-                table["collecting_j"] = np.array(
-                    [
-                        self.iot_network.cluster(i).collection_energy(int(n))
-                        for i, n in enumerate(table["n_samples"])
-                    ]
-                )
-            self._table = table
-        return self._table
+    def _device(self, i: int) -> RaspberryPiEdgeServer:
+        """Device ``i`` built from its row of the table, with its own
+        ``(seed, i)`` jitter stream."""
+        table = self._table
+        return RaspberryPiEdgeServer(
+            server_id=i,
+            timing=replace(
+                self.config.timing,
+                tau0=float(table["tau0"][i]),
+                tau1=float(table["tau1"][i]),
+            ),
+            powers=StepPowers(
+                **{name: float(table[name][i]) for name in _POWER_FIELDS}
+            ),
+            channel=WirelessChannel(self.config.channel),
+            rng=np.random.default_rng((self.config.seed, i)),
+        )
+
+    def _train_s(self, epochs: int) -> np.ndarray:
+        """Each device's step-(3) duration, the law of
+        :meth:`RaspberryPiEdgeServer.training_duration` over the table."""
+        table = self._table
+        return epochs * (table["tau0"] * table["n_samples"] + table["tau1"])
 
     def _transfer_s(self, message: ModelMessage) -> float:
         """Transfer time of ``message``, the same on every device: each
@@ -284,7 +313,7 @@ class HardwarePrototype:
     @property
     def samples_per_server(self) -> int:
         """``n_k`` of the first server (uniform partition sizes +-1)."""
-        return len(self._partitions[0])
+        return int(self._table["n_samples"][0])
 
     def heterogeneous_energy_params(
         self, rho_values: dict[int, float] | None = None
@@ -304,7 +333,7 @@ class HardwarePrototype:
         elif self.iot_network is not None:
             for server_id, value in self.iot_network.rho_values().items():
                 rho[server_id] = value
-        table = self._device_table()
+        table = self._table
         return HeterogeneousEnergyParams(
             rho=rho,
             c0=table["tau0"] * table["training_w"],
@@ -350,11 +379,19 @@ class HardwarePrototype:
             self.config.model, fed_config
         ):
             # Straight to struct-of-arrays: no per-client objects.
-            clients = PopulationState.from_datasets(
-                self._partitions,
-                self.config.model,
-                dtype=fed_config.population_dtype,
-            )
+            if self._split is not None:
+                clients = PopulationState.from_partition(
+                    self.train,
+                    *self._split,
+                    self.config.model,
+                    dtype=fed_config.population_dtype,
+                )
+            else:
+                clients = PopulationState.from_datasets(
+                    self._partitions,
+                    self.config.model,
+                    dtype=fed_config.population_dtype,
+                )
         else:
             clients = build_clients(
                 self._partitions, self.config.model, seed=self.config.seed
@@ -370,10 +407,10 @@ class HardwarePrototype:
         if resilience is not None:
             # Deadline checks use the measured timing law (jitter-free,
             # so the check itself consumes no device randomness).
+            train_s = self._train_s(epochs)
+
             def client_time_fn(client_id: int, round_index: int) -> float:
-                return self.devices[client_id].training_duration(
-                    epochs, len(self._partitions[client_id])
-                )
+                return float(train_s[client_id])
 
         return FederatedTrainer(
             clients=clients,
@@ -453,10 +490,10 @@ class HardwarePrototype:
                 "upload",
                 compressor.compressed_bytes(self.config.model.n_parameters),
             )
-        table = self._device_table()
+        table = self._table
         download_s = self._transfer_s(self._download)
         upload_s = self._transfer_s(upload_message)
-        train_s = epochs * (table["tau0"] * table["n_samples"] + table["tau1"])
+        train_s = self._train_s(epochs)
         # Jitter-free active energy of one round at each device: what a
         # futile round (upload failed, deadline missed, update rejected)
         # wastes, priced without consuming any device randomness.
@@ -707,7 +744,7 @@ class HardwarePrototype:
         def duration(client_id: int) -> float:
             # One timing draw prices both the job's length and its energy.
             device = self.devices[client_id]
-            n_k = len(self._partitions[client_id])
+            n_k = int(self._table["n_samples"][client_id])
             timing = device.round_timing(epochs, n_k, self._download, self._upload)
             phases = device.phase_energies(timing, self.config.include_waiting)
             if self.config.include_iot:
@@ -760,7 +797,7 @@ class HardwarePrototype:
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1; got {n_rounds}")
         device = self.devices[server_id]
-        n_k = len(self._partitions[server_id])
+        n_k = int(self._table["n_samples"][server_id])
         process = StepProcess()
         for _ in range(n_rounds):
             timing = device.round_timing(epochs, n_k, self._download, self._upload)

@@ -401,18 +401,26 @@ class TestSigtermDrain:
             reference.root
         )
 
-    @pytest.mark.parametrize("moment", ["mid-write", "after-write"])
+    @pytest.mark.parametrize(
+        ("moment", "signum"),
+        [
+            pytest.param(moment, signum, id=moment + suffix)
+            for signum, suffix in ((signal.SIGTERM, ""), (signal.SIGINT, "-SIGINT"))
+            for moment in ("mid-write", "after-write")
+        ],
+    )
     def test_sigterm_during_a_checkpoint_waits_for_it(
-        self, tmp_path, tiny_spec: RunSpec, monkeypatch, moment: str
+        self, tmp_path, tiny_spec: RunSpec, monkeypatch, moment: str, signum: int
     ) -> None:
-        # The signal lands inside the first unit's checkpoint: after its
-        # first artifact file, or after its manifest entry.  The drain
-        # must finish that checkpoint and count the unit, leaving no
-        # orphan directory and no unit the summary does not report.
+        # The signal (a preemption's SIGTERM or Ctrl-C's SIGINT) lands
+        # inside the first unit's checkpoint: after its first artifact
+        # file, or after its manifest entry.  The drain must finish that
+        # checkpoint and count the unit, leaving no orphan directory and
+        # no unit the summary does not report.
         from repro.campaign import store as store_module
 
         def sigterm_self() -> None:
-            os.kill(os.getpid(), signal.SIGTERM)
+            os.kill(os.getpid(), signum)
 
         if moment == "mid-write":
             atomic_write = store_module._atomic_write

@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.stats import SeedSummary, repeat_over_seeds, summarize
+
+
+def test_import_repro_does_not_load_scipy_stats() -> None:
+    # scipy.stats is the slowest import in the package's chain, and
+    # only summarize() needs it.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro; print('scipy.stats' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSummarize:

@@ -11,6 +11,7 @@ from repro.fl.partition import (
     partition_dirichlet,
     partition_iid,
 )
+from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
 
 
 def _dataset(n: int = 200, n_classes: int = 5) -> Dataset:
@@ -53,6 +54,27 @@ class TestIID:
     def test_rejects_more_partitions_than_samples(self) -> None:
         with pytest.raises(ValueError, match="cannot split"):
             partition_iid(_dataset(5), 6, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_partitions", [1, 7, 20, 205])
+    def test_prototype_and_partition_iid_share_one_split(
+        self, n_partitions: int
+    ) -> None:
+        # 205 samples: uneven sizes for 7 and 20 partitions, one sample
+        # each for 205.  The layout is the one np.array_split gave.
+        ds = _dataset(205)
+        parts = partition_iid(ds, n_partitions, np.random.default_rng(9))
+        perm = np.random.default_rng(9).permutation(len(ds))
+        expected = [ds.subset(c) for c in np.array_split(perm, n_partitions)]
+        prototype = HardwarePrototype(
+            ds, ds, PrototypeConfig(n_servers=n_partitions, seed=9)
+        )
+        shards = prototype._partitions
+        assert len(parts) == len(shards) == n_partitions
+        for ref, part, shard in zip(expected, parts, shards):
+            np.testing.assert_array_equal(part.features, ref.features)
+            np.testing.assert_array_equal(part.labels, ref.labels)
+            np.testing.assert_array_equal(shard.features, ref.features)
+            np.testing.assert_array_equal(shard.labels, ref.labels)
 
     def test_rejects_nonpositive_partitions(self) -> None:
         with pytest.raises(ValueError, match="n_partitions"):

@@ -34,7 +34,7 @@ from repro.fl.engine import (
     select_backend,
 )
 from repro.fl.model import LogisticRegressionConfig
-from repro.fl.partition import partition_iid
+from repro.fl.partition import iid_shard, iid_split, partition_iid
 from repro.fl.population import (
     AggregationTree,
     GridUnit,
@@ -47,7 +47,10 @@ from repro.fl.server import Coordinator, aggregate_mean
 from repro.fl.sgd import SGDConfig
 from repro.fl.training import FederatedConfig, FederatedTrainer, build_clients
 from repro.hardware.prototype import HardwarePrototype, PrototypeConfig
+from repro.hardware.raspberry_pi import PiTimingConfig, RaspberryPiEdgeServer
 from repro.iot.network import IoTNetwork
+from repro.net.channel import WirelessChannel
+from repro.net.messages import model_download_message, model_upload_message
 from repro.obs.observer import Observer
 from repro.perf.cache import StackCache
 from repro.perf.shared_data import SharedDatasetStore, attach_datasets
@@ -716,3 +719,188 @@ class TestPrototypeEquivalence:
         # The counter does see the sequential path's objects.
         _prototype_run("sequential")
         assert built["EdgeServerClient"] > 0 and built["LocalUpdate"] > 0
+
+
+def _eager_devices(config: PrototypeConfig) -> list[RaspberryPiEdgeServer]:
+    """Every device built up front, drawing each one's (power, speed)
+    factors as two scalar draws in turn: the oracle for the testbed's
+    vectors and its on-demand devices."""
+    factor_rng = np.random.default_rng([config.seed, 0x4A4D])
+    devices = []
+    for i in range(config.n_servers):
+        timing, powers = config.timing, config.powers
+        if config.heterogeneity > 0:
+            power_factor = float(
+                np.clip(factor_rng.normal(1.0, config.heterogeneity), 0.2, 3.0)
+            )
+            speed_factor = float(
+                np.clip(factor_rng.normal(1.0, config.heterogeneity), 0.2, 3.0)
+            )
+            powers = powers.scaled(power_factor)
+            timing = PiTimingConfig(
+                tau0=timing.tau0 * speed_factor,
+                tau1=timing.tau1 * speed_factor,
+                waiting_s=timing.waiting_s,
+                jitter_fraction=timing.jitter_fraction,
+            )
+        devices.append(
+            RaspberryPiEdgeServer(
+                i,
+                timing,
+                powers,
+                WirelessChannel(config.channel),
+                rng=np.random.default_rng((config.seed, i)),
+            )
+        )
+    return devices
+
+
+def _count_constructions(monkeypatch) -> Counter:
+    """Count devices, datasets and ``default_rng`` Generators built."""
+    built: Counter[str] = Counter()
+    device_init = RaspberryPiEdgeServer.__init__
+    dataset_post_init = Dataset.__post_init__
+    default_rng = np.random.default_rng
+
+    def device(self, *args, **kwargs):
+        built["device"] += 1
+        device_init(self, *args, **kwargs)
+
+    def dataset(self):
+        built["dataset"] += 1
+        dataset_post_init(self)
+
+    def generator(*args, **kwargs):
+        built["generator"] += 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(RaspberryPiEdgeServer, "__init__", device)
+    monkeypatch.setattr(Dataset, "__post_init__", dataset)
+    monkeypatch.setattr(np.random, "default_rng", generator)
+    return built
+
+
+class TestVectorTestbed:
+    """The testbed is per-device vectors; objects are built on demand."""
+
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.3])
+    def test_population_round_builds_no_per_device_objects(
+        self, monkeypatch, heterogeneity: float
+    ):
+        round_generators = []
+        for n_servers in (1_000, 10_000):
+            train = _linear_task(4 * n_servers, seed=5)
+            built = _count_constructions(monkeypatch)
+            prototype = HardwarePrototype(
+                train,
+                _TEST,
+                PrototypeConfig(
+                    n_servers=n_servers,
+                    model=_CONFIG,
+                    heterogeneity=heterogeneity,
+                    backend="population",
+                    aggregation_tiers=10,
+                ),
+            )
+            assert built["device"] == built["dataset"] == 0
+            assert built["generator"] <= 2
+            built.clear()
+            result = prototype.run(
+                federated_config=FederatedConfig(
+                    n_rounds=1,
+                    participants_per_round=100,
+                    local_epochs=1,
+                    dropout_probability=0.05,
+                    backend="population",
+                )
+            )
+            assert result.rounds == 1
+            assert built["device"] == built["dataset"] == 0
+            round_generators.append(built["generator"])
+            monkeypatch.undo()
+        assert round_generators[0] == round_generators[1]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_clients", [1, 7, 100, 317])
+    def test_from_partition_equals_from_datasets(self, n_clients: int, dtype):
+        order, sizes = iid_split(len(_TRAIN), n_clients, np.random.default_rng(3))
+        shards = [iid_shard(_TRAIN, order, n_clients, p) for p in range(n_clients)]
+        self._assert_same_state(
+            PopulationState.from_partition(_TRAIN, order, sizes, _CONFIG, dtype=dtype),
+            PopulationState.from_datasets(shards, _CONFIG, dtype=dtype),
+        )
+
+    def test_from_partition_takes_any_sizes(self):
+        order = np.random.default_rng(4).permutation(len(_TRAIN))
+        sizes = np.array([3, 1, 300, 3, 9, 1])
+        starts = np.cumsum(sizes) - sizes
+        shards = [
+            _TRAIN.subset(order[start : start + n])
+            for start, n in zip(starts, sizes)
+        ]
+        self._assert_same_state(
+            PopulationState.from_partition(_TRAIN, order, sizes, _CONFIG),
+            PopulationState.from_datasets(shards, _CONFIG),
+        )
+
+    @staticmethod
+    def _assert_same_state(state: PopulationState, reference: PopulationState):
+        assert state.dtype == reference.dtype
+        assert list(state.groups) == list(reference.groups)
+        for n, group in state.groups.items():
+            expected = reference.groups[n]
+            for name in ("client_ids", "features", "labels"):
+                got, want = getattr(group, name), getattr(expected, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.n_samples, reference.n_samples)
+        np.testing.assert_array_equal(
+            state.rows_of(np.arange(state.n_clients)),
+            reference.rows_of(np.arange(reference.n_clients)),
+        )
+
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.3])
+    def test_devices_equal_eagerly_built_ones(self, heterogeneity: float):
+        config = PrototypeConfig(
+            n_servers=50,
+            model=_CONFIG,
+            timing=PiTimingConfig(jitter_fraction=0.1),
+            heterogeneity=heterogeneity,
+            seed=7,
+        )
+        prototype = HardwarePrototype(_linear_task(200), _TEST, config)
+        download = model_download_message(_CONFIG)
+        upload = model_upload_message(_CONFIG)
+        eager = _eager_devices(config)
+        assert len(prototype.devices) == len(eager)
+        for i in (0, 1, 17, 49):
+            device, reference = prototype.devices[i], eager[i]
+            assert prototype.devices[i] is device
+            assert device.server_id == reference.server_id == i
+            assert device.timing == reference.timing
+            assert device.powers == reference.powers
+            draws = [device.round_timing(2, 4, download, upload) for _ in range(3)]
+            assert draws == [
+                reference.round_timing(2, 4, download, upload) for _ in range(3)
+            ]
+
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.3])
+    def test_energy_params_equal_eagerly_built_devices(self, heterogeneity: float):
+        config = PrototypeConfig(
+            n_servers=50, model=_CONFIG, heterogeneity=heterogeneity, seed=7
+        )
+        params = HardwarePrototype(
+            _linear_task(200), _TEST, config
+        ).heterogeneous_energy_params()
+        eager = _eager_devices(config)
+        upload = model_upload_message(_CONFIG)
+        np.testing.assert_array_equal(
+            params.c0, [d.timing.tau0 * d.powers.training_w for d in eager]
+        )
+        np.testing.assert_array_equal(
+            params.c1, [d.timing.tau1 * d.powers.training_w for d in eager]
+        )
+        np.testing.assert_array_equal(
+            params.e_upload, [d.upload_energy(upload) for d in eager]
+        )
+        assert params.n_samples == 4
